@@ -4,12 +4,13 @@
 
 Modes:
   python bench.py                 # all queries, one session
-  python bench.py --scaling      # flagship at 8 and 32 CPUs in FRESH
+  python bench.py --scaling      # flagship at N and 4N CPUs in FRESH
                                   # processes → throughput + scaling efficiency
+                                  # (N = $GRAFT_SCALE_N, default host CPUs / 4)
   python bench.py --only a,b,c   # subset (internal / debugging)
 
-Owns its Ray session (ray.init(address="local", num_cpus=$RAY_GRAFT_CPUS));
-nothing in libpysal_ray calls ray.init.
+Owns its Ray session (ray.init(address="local", num_cpus=$RAY_GRAFT_CPUS),
+default the host's CPU count); nothing in libpysal_ray calls ray.init.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ REPO = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, REPO)
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32") or "32")
+HOST_CPUS = os.cpu_count() or 1
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS") or HOST_CPUS)
 
 
 def _consume(res) -> int:
@@ -70,11 +72,21 @@ def run(sf_dir: str, num_cpus: int, only: list[str] | None = None):
 
 
 SCALE_ROWS = int(os.environ.get("GRAFT_SCALE_ROWS", "6000000"))
-# N vs 4N parallelism levels for --scaling. Default 2→8: this sandbox's 32
-# "CPUs" are SMT/overcommitted vCPUs — raw multiprocessing scales ~linearly
-# only up to ~8 workers (measured 2→8 = 4.0x, 8→32 = 2.4x), so 8→32 would
-# measure the hardware's SMT ceiling, not the engine's scaling.
-SCALE_N = int(os.environ.get("GRAFT_SCALE_N", "4"))
+# N vs 4N parallelism levels for --scaling and --skew. The default puts 4N
+# at the host's CPU count: a level above it measures the host's
+# overcommit (SMT or shared vCPUs), not the engine's scaling.
+SCALE_N = int(os.environ.get("GRAFT_SCALE_N") or max(1, HOST_CPUS // 4))
+
+
+def _warn_overcommit() -> None:
+    if 4 * SCALE_N > HOST_CPUS:
+        print(
+            f"WARNING: 4N = {4 * SCALE_N} CPUs exceeds this host's "
+            f"{HOST_CPUS}; the {4 * SCALE_N}-CPU leg is overcommitted and "
+            "its scaling efficiency measures the host, not the engine",
+            file=sys.stderr,
+            flush=True,
+        )
 
 
 def run_scaling_once(n_rows: int, num_cpus: int) -> float:
@@ -216,6 +228,7 @@ def main() -> None:
                           "seconds": dt, "rows": SCALE_ROWS}))
         return
     if "--skew" in argv:
+        _warn_overcommit()
         # Skew robustness (SURVEY §4 skew row): ~HOT_FRAC of pages in ONE
         # quadcell; scaling efficiency N→4N with and without salting,
         # interleaved min-of-2 per level (bimodal host contention).
@@ -260,6 +273,7 @@ def main() -> None:
         print(json.dumps({"cpus": cpus, "seconds": dt, "rows": SCALE_ROWS}))
         return
     if "--scaling" in argv:
+        _warn_overcommit()
         # Same input, two parallelism levels, FRESH processes — the
         # in-sandbox stand-in for the north rule's N vs 4N cluster sizes.
         # The host's contention is BIMODAL (identical runs alternate

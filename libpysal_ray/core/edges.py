@@ -192,7 +192,11 @@ def resolve_isolates(
     ).materialize()
     # both sides are materialized, so the union is pure block refs: every
     # downstream consumer (set ops read a graph's edges twice — real rows +
-    # id universe) reuses the cached blocks with zero recompute.
+    # id universe) reuses the cached blocks with zero recompute. No
+    # isolates means no union: the empty marker output carries no schema,
+    # and Ray warns on every later execution that reads the union.
+    if markers.count() == 0:
+        return real
     return real.union(markers)
 
 

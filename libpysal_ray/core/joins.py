@@ -7,12 +7,13 @@ Two physical strategies, chosen by the caller per the scale of the small side:
   lookup. This is the right plan whenever one side fits in a worker heap
   (attribute vectors, polygon layers, id subsets) — it avoids an all-to-all
   shuffle entirely.
-* **hash join** — ``Dataset.join`` (Ray's distributed hash join) for
+* **bucket join** — ``bucket_join``: hash the int64 key into buckets, ONE
+  groupby(bucket) shuffle, then a vectorized sort-probe per bucket, for
   large×large, e.g. higher-order self-joins of the edge table.
 
 The cogroup pattern (tag sides → union → groupby key) implements set ops and
 anti-joins without a dedicated join operator; it costs one shuffle, same as
-a hash join, but composes with arbitrary per-group logic.
+a bucket join, but composes with arbitrary per-group logic.
 """
 
 from __future__ import annotations
@@ -53,24 +54,6 @@ def broadcast_lookup(
         return t.append_column(out_col, pa.array(out))
 
     return ds.map_batches(_lookup, batch_format="pyarrow")
-
-
-def hash_join(
-    left: ray.data.Dataset,
-    right: ray.data.Dataset,
-    on: tuple[str, ...],
-    right_on: tuple[str, ...] | None = None,
-    join_type: str = "inner",
-    num_partitions: int = 16,
-) -> ray.data.Dataset:
-    """Distributed hash join (Ray Data native)."""
-    return left.join(
-        right,
-        join_type=join_type,
-        num_partitions=num_partitions,
-        on=on,
-        right_on=right_on,
-    )
 
 
 # map-like logical ops whose output size is bounded by ~O(input size): safe
@@ -235,10 +218,6 @@ def _grouped_agg_batch(keys: tuple[str, ...], cols: tuple[str, ...], ops):
         return pa.table(out)
 
     return f
-
-
-def _grouped_sum_batch(keys: tuple[str, ...], cols: tuple[str, ...]):
-    return _grouped_agg_batch(keys, cols, "sum")
 
 
 def grouped_sum(
@@ -552,114 +531,161 @@ def pair_anti(
     )
 
 
+def declare_schema(
+    ds: ray.data.Dataset, schema: pa.Schema
+) -> ray.data.Dataset:
+    """Record ``schema`` as the known output schema of ``ds`` and return it.
+
+    ``Dataset.schema()`` (which bucket_join reads for both sides) otherwise
+    runs a ``limit(1)`` execution of the lazy plan: Ray infers no schema
+    through map, project or union. The caller vouches that every block of
+    ``ds`` has exactly this schema — a wrong declaration pads bucket_join's
+    tagged union with mismatched types. The declaration stays on this
+    Dataset object: plans derived from it start without a cached schema.
+    The engine's only caller of Ray's private ``cache_schema``."""
+    ds._plan.cache_schema(schema)
+    return ds
+
+
+_PK_SCHEMA = pa.schema([pa.field("pk", pa.int64())])
+_PKW_SCHEMA = pa.schema([pa.field("pk", pa.int64()),
+                         pa.field("w", pa.float64())])
+
+
+def pair_id_range(right_keys: ray.data.Dataset) -> tuple[int, int] | None:
+    """The (lo, hi) id range of ``right_keys``' endpoints when it fits
+    [0, 2^31) — so every matching pair packs into one int64 key — else
+    None. One Min/Max aggregate. A left pair can only match inside this
+    range, so the right side alone decides packability; the range also
+    holds for any subset of ``right_keys`` (iterative callers check once).
+    An empty right side gives the empty range (0, -1), which matches
+    nothing."""
+    from ray.data.aggregate import Max, Min
+
+    b = right_keys.aggregate(Min("focal"), Max("focal"),
+                             Min("neighbor"), Max("neighbor"))
+    if b["min(focal)"] is None:
+        return 0, -1
+    lo = min(int(b["min(focal)"]), int(b["min(neighbor)"]))
+    hi = max(int(b["max(focal)"]), int(b["max(neighbor)"]))
+    return (lo, hi) if lo >= 0 and hi < (1 << 31) else None
+
+
 def pair_semi(
     left: ray.data.Dataset, right_keys: ray.data.Dataset
 ) -> ray.data.Dataset:
     """Edges of ``left`` whose (focal, neighbor) appears in ``right_keys``
-    (one row per distinct pair, weight = summed left weight —
-    ``right_keys`` must be pair-distinct, which every edge-table caller
-    guarantees).
+    (one row per distinct pair, weight = summed left weight, a missing
+    left ``weight`` counting 1.0 — ``right_keys`` must be pair-distinct,
+    which every edge-table caller guarantees).
 
-    Packed fast path: when every id fits [0, 2^31) (one cheap Min/Max
-    aggregate per side), the pair packs into ONE int64 key, a per-batch
-    np.unique combiner pre-sums the wedge multiplicities BEFORE the
-    shuffle, and the rest is a single-key groupby + one bucket_join —
-    replacing the two-column native sort-aggregate that dominates wall
-    on wedge-expanded inputs (ktruss/triangle counting: 87 s → ~2 s on
-    a 5.7M-path round at sf0.1). Ids outside the packable range fall
-    back to the general cogroup."""
-    from ray.data.aggregate import Max, Min
+    Takes :func:`pair_semi_packed` when :func:`pair_id_range` packs the
+    right side's ids; otherwise falls back to the general cogroup."""
+    id_range = pair_id_range(right_keys)
+    if id_range is not None:
+        return pair_semi_packed(left, right_keys, id_range)
 
-    b = left.aggregate(Min("focal"), Max("focal"),
-                       Min("neighbor"), Max("neighbor"))
-    if b["min(focal)"] is not None:
-        lo = min(int(b["min(focal)"]), int(b["min(neighbor)"]))
-        hi = max(int(b["max(focal)"]), int(b["max(neighbor)"]))
-        rb = right_keys.aggregate(Min("focal"), Max("focal"),
-                                  Min("neighbor"), Max("neighbor"))
-        if rb["min(focal)"] is not None:
-            lo = min(lo, int(rb["min(focal)"]), int(rb["min(neighbor)"]))
-            hi = max(hi, int(rb["max(focal)"]), int(rb["max(neighbor)"]))
-        if lo >= 0 and hi < (1 << 31):
-            SH = np.int64(1) << np.int64(31)
+    def _with_weight(t: pa.Table) -> pa.Table:
+        if "weight" in t.schema.names:
+            return t
+        return t.append_column("weight", pa.array(np.ones(t.num_rows)))
 
-            def _packl(t: pa.Table) -> pa.Table:
-                f = t.column("focal").to_numpy(
-                    zero_copy_only=False).astype(np.int64)
-                n = t.column("neighbor").to_numpy(
-                    zero_copy_only=False).astype(np.int64)
-                if "weight" in t.schema.names:
-                    w = t.column("weight").to_numpy(
-                        zero_copy_only=False).astype(np.float64)
-                else:
-                    w = np.ones(t.num_rows, dtype=np.float64)
-                key = f * SH + n
-                order = np.argsort(key, kind="stable")
-                ks, ws = key[order], w[order]
-                new = np.ones(len(ks), bool)
-                new[1:] = ks[1:] != ks[:-1]
-                starts = np.flatnonzero(new)
-                if len(starts) == 0:
-                    return pa.table({
-                        "pk": pa.array([], pa.int64()),
-                        "w": pa.array([], pa.float64()),
-                    })
-                return pa.table({
-                    "pk": pa.array(ks[starts]),
-                    "w": pa.array(np.add.reduceat(ws, starts)),
-                })
-
-            def _packr(t: pa.Table) -> pa.Table:
-                f = t.column("focal").to_numpy(
-                    zero_copy_only=False).astype(np.int64)
-                n = t.column("neighbor").to_numpy(
-                    zero_copy_only=False).astype(np.int64)
-                return pa.table({"pk": pa.array(f * SH + n)})
-
-            def _sumk(t: pa.Table) -> pa.Table:
-                # bucket kernel: rows pk-sorted; one segmented sum
-                k = t.column("pk").to_numpy(zero_copy_only=False)
-                w = t.column("w").to_numpy(zero_copy_only=False)
-                if len(k) == 0:
-                    return pa.table({
-                        "pk": pa.array([], pa.int64()),
-                        "w": pa.array([], pa.float64()),
-                    })
-                new = np.ones(len(k), bool)
-                new[1:] = k[1:] != k[:-1]
-                starts = np.flatnonzero(new)
-                return pa.table({
-                    "pk": pa.array(k[starts]),
-                    "w": pa.array(np.add.reduceat(w, starts)),
-                })
-
-            # NOT grouped_sum: its scale branch is the native
-            # sort-aggregate, which is pathologically slow on
-            # wedge-sized blocks (48 s for a 587k-row block measured);
-            # the bucketed vectorized kernel is the house scale path
-            counts = grouped_by_key(
-                left.map_batches(_packl, batch_format="pyarrow"),
-                ["pk"], _sumk,
-            )
-            joined = bucket_join(
-                right_keys.map_batches(_packr, batch_format="pyarrow"),
-                counts, on="pk",
-            )
-
-            def _unpack(t: pa.Table) -> pa.Table:
-                k = t.column("pk").to_numpy(zero_copy_only=False)
-                return pa.table({
-                    "focal": pa.array((k // SH).astype(np.int64)),
-                    "neighbor": pa.array((k % SH).astype(np.int64)),
-                    "weight": t.column("w"),
-                })
-
-            return joined.map_batches(_unpack, batch_format="pyarrow")
-
-    cg = cogroup_pairs(left, right_keys)
+    cg = cogroup_pairs(
+        left.map_batches(_with_weight, batch_format="pyarrow"), right_keys
+    )
     return cg.filter(expr="ca > 0 and cb > 0").map_batches(
         _cg_to_edges, batch_format="pyarrow"
     )
+
+
+def pair_semi_packed(
+    left: ray.data.Dataset,
+    right_keys: ray.data.Dataset,
+    id_range: tuple[int, int],
+) -> ray.data.Dataset:
+    """The packed body of :func:`pair_semi`, for a right side whose ids lie
+    in ``id_range`` (from :func:`pair_id_range`). Left rows outside the
+    range cannot match and drop before packing. Each pair packs into ONE
+    int64 key, a per-batch np.unique combiner pre-sums the wedge
+    multiplicities BEFORE the shuffle, and the rest is a single-key
+    grouped_by_key + one bucket_join — replacing the two-column native
+    sort-aggregate that dominates wall on wedge-expanded inputs
+    (ktruss/triangle counting: 87 s → ~2 s on a 5.7M-path round at sf0.1).
+    Both bucket_join sides declare their schemas, so building the plan
+    executes nothing."""
+    lo, hi = id_range
+    SH = np.int64(1) << np.int64(31)
+
+    def _packl(t: pa.Table) -> pa.Table:
+        f = t.column("focal").to_numpy(zero_copy_only=False).astype(np.int64)
+        n = t.column("neighbor").to_numpy(
+            zero_copy_only=False).astype(np.int64)
+        if "weight" in t.schema.names:
+            w = t.column("weight").to_numpy(
+                zero_copy_only=False).astype(np.float64)
+        else:
+            w = np.ones(t.num_rows, dtype=np.float64)
+        inside = (f >= lo) & (f <= hi) & (n >= lo) & (n <= hi)
+        if not inside.all():
+            f, n, w = f[inside], n[inside], w[inside]
+        key = f * SH + n
+        order = np.argsort(key, kind="stable")
+        ks, ws = key[order], w[order]
+        new = np.ones(len(ks), bool)
+        new[1:] = ks[1:] != ks[:-1]
+        starts = np.flatnonzero(new)
+        if len(starts) == 0:
+            return _PKW_SCHEMA.empty_table()
+        return pa.table({
+            "pk": pa.array(ks[starts]),
+            "w": pa.array(np.add.reduceat(ws, starts)),
+        })
+
+    def _packr(t: pa.Table) -> pa.Table:
+        f = t.column("focal").to_numpy(zero_copy_only=False).astype(np.int64)
+        n = t.column("neighbor").to_numpy(
+            zero_copy_only=False).astype(np.int64)
+        return pa.table({"pk": pa.array(f * SH + n)})
+
+    def _sumk(t: pa.Table) -> pa.Table:
+        # bucket kernel: rows pk-sorted; one segmented sum
+        k = t.column("pk").to_numpy(zero_copy_only=False)
+        w = t.column("w").to_numpy(zero_copy_only=False)
+        if len(k) == 0:
+            return _PKW_SCHEMA.empty_table()
+        new = np.ones(len(k), bool)
+        new[1:] = k[1:] != k[:-1]
+        starts = np.flatnonzero(new)
+        return pa.table({
+            "pk": pa.array(k[starts]),
+            "w": pa.array(np.add.reduceat(w, starts)),
+        })
+
+    # NOT grouped_sum: its scale branch is the native sort-aggregate,
+    # which is pathologically slow on wedge-sized blocks (48 s for a
+    # 587k-row block measured); the bucketed vectorized kernel is the
+    # house scale path
+    counts = grouped_by_key(
+        left.map_batches(_packl, batch_format="pyarrow"), ["pk"], _sumk,
+    )
+    joined = bucket_join(
+        declare_schema(
+            right_keys.map_batches(_packr, batch_format="pyarrow"),
+            _PK_SCHEMA,
+        ),
+        declare_schema(counts, _PKW_SCHEMA),
+        on="pk",
+    )
+
+    def _unpack(t: pa.Table) -> pa.Table:
+        k = t.column("pk").to_numpy(zero_copy_only=False)
+        return pa.table({
+            "focal": pa.array((k // SH).astype(np.int64)),
+            "neighbor": pa.array((k % SH).astype(np.int64)),
+            "weight": t.column("w"),
+        })
+
+    return joined.map_batches(_unpack, batch_format="pyarrow")
 
 
 def _cg_to_edges(t: pa.Table) -> pa.Table:
@@ -669,23 +695,6 @@ def _cg_to_edges(t: pa.Table) -> pa.Table:
             "neighbor": t.column("neighbor"),
             "weight": t.column("wl"),
         }
-    )
-
-
-def anti_join_keys(
-    left: ray.data.Dataset,
-    right: ray.data.Dataset,
-    key_cols: list[str],
-) -> ray.data.Dataset:
-    """Rows of ``left`` whose key is absent from ``right``."""
-    if len(key_cols) == 1:
-        return bucket_join(left, right.select_columns(key_cols),
-                           on=key_cols[0], how="anti")
-    return left.join(
-        right.select_columns(key_cols),
-        join_type="left_anti",
-        num_partitions=16,
-        on=tuple(key_cols),
     )
 
 

@@ -725,28 +725,109 @@ def test_seed_distance_path_graph(ray_session):
     assert out2 == {99: 0}
 
 
-def test_ktruss_closed_forms(ray_session):
-    import numpy as np
+# K4 plus a pendant triangle sharing one vertex: K4 edges each have
+# support 2 (4-truss survives); the pendant triangle's edges have support
+# 1 and peel at k=4 but survive at k=3
+_K4 = [(a, b) for a in range(4) for b in range(4) if a != b]
+_PENDANT = [(3, 4), (4, 3), (4, 5), (5, 4), (5, 3), (3, 5)]
+# a diamond (two triangles on the edge 6-7): at k=4 its four outer edges
+# peel in round 1, which leaves 6-7 with support 0 for round 2
+_DIAMOND = [(6, 7), (7, 6), (6, 8), (8, 6), (7, 8), (8, 7),
+            (6, 9), (9, 6), (7, 9), (9, 7)]
 
+
+def _graph(pairs, offset=0):
+    e = np.array(pairs, dtype=np.int64) + np.int64(offset)
+    return RayGraph.from_arrays(e[:, 0], e[:, 1], np.ones(len(e)))
+
+
+def test_ktruss_closed_forms(ray_session):
     from libpysal_ray.core.graph import ktruss
 
-    # K4 plus a pendant triangle sharing one vertex: K4 edges each have
-    # support 2 (4-truss survives); the pendant triangle's edges have
-    # support 1 and peel at k=4 but survive at k=3
-    k4 = [(a, b) for a in range(4) for b in range(4) if a != b]
-    tri = [(3, 4), (4, 3), (4, 5), (5, 4), (5, 3), (3, 5)]
-    e = np.array(k4 + tri)
-    g = RayGraph.from_arrays(e[:, 0], e[:, 1], np.ones(len(e)))
-    t4 = ktruss(g, 4).to_pandas()
-    got = sorted(set(zip(t4["focal"], t4["neighbor"])))
-    assert got == sorted((a, b) for a, b in k4)
-    assert (t4["support"] == 2).all()
-    t3 = ktruss(g, 3).to_pandas()
-    assert len(t3) == len(k4) + len(tri)
-    # k=5 empties the graph
-    assert len(ktruss(g, 5).to_pandas()) == 0
-    # path graph has no triangles: k=3 truss is empty
-    f = np.array([0, 1, 1, 2])
-    nb = np.array([1, 0, 2, 1])
-    g2 = RayGraph.from_arrays(f, nb, np.ones(4))
-    assert len(ktruss(g2, 3).to_pandas()) == 0
+    # offset 2^32 puts every id past the packed semi-join's int64 key
+    # range, so the rounds take the cogroup fallback
+    for offset in (0, 1 << 32):
+        g = _graph(_K4 + _PENDANT, offset)
+        t4 = ktruss(g, 4).to_pandas()
+        got = sorted(set(zip(t4["focal"] - offset,
+                             t4["neighbor"] - offset)))
+        assert got == sorted(_K4)
+        assert (t4["support"] == 2).all()
+        t3 = ktruss(g, 3).to_pandas()
+        assert len(t3) == len(_K4) + len(_PENDANT)
+        sup3 = {(a - offset, b - offset): s for a, b, s in
+                zip(t3["focal"], t3["neighbor"], t3["support"])}
+        assert all(sup3[e] == 2 for e in _K4)
+        # the shared vertex 3 adds no triangle to the pendant's edges
+        assert all(sup3[e] == 1 for e in _PENDANT)
+        # k=5 empties the graph
+        assert len(ktruss(g, 5).to_pandas()) == 0
+        # path graph has no triangles: k=3 truss is empty
+        path = _graph([(0, 1), (1, 0), (1, 2), (2, 1)], offset)
+        assert len(ktruss(path, 3).to_pandas()) == 0
+
+
+@pytest.mark.parametrize("pairs, rounds", [
+    (_K4 + _PENDANT, 2),
+    (_K4 + _PENDANT + _DIAMOND, 3),
+], ids=["closed_form", "diamond"])
+def test_ktruss_execution_budget(ray_session, monkeypatch, pairs, rounds):
+    """Each peeling round runs two Dataset executions (``paths`` and the
+    kept edges) on top of a fixed set-up: the dedup, the one id-range
+    check and the consumer's execution of the output. The declared
+    bucket_join schemas must be the ones the steps really produce."""
+    import logging
+
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor,
+    )
+
+    from libpysal_ray.core import joins as J
+    from libpysal_ray.core.graph import ktruss
+
+    g = _graph(pairs)
+    declared = []
+    orig_declare = J.declare_schema
+
+    def _declare(ds, schema):
+        declared.append((ds, schema))
+        return orig_declare(ds, schema)
+
+    monkeypatch.setattr(J, "declare_schema", _declare)
+    calls = {"execute": 0, "packed": 0}
+    orig_execute = StreamingExecutor.execute
+
+    def _execute(self, *a, **k):
+        calls["execute"] += 1
+        return orig_execute(self, *a, **k)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", _execute)
+    orig_packed = J.pair_semi_packed
+
+    def _packed(*a, **k):
+        calls["packed"] += 1
+        return orig_packed(*a, **k)
+
+    monkeypatch.setattr(J, "pair_semi_packed", _packed)
+    warned = []
+
+    class _Warnings(logging.Handler):
+        def emit(self, record):
+            if "different schema" in record.getMessage():
+                warned.append(record.getMessage())
+
+    handler = _Warnings()
+    logging.getLogger("ray.data").addHandler(handler)
+    try:
+        out = ktruss(g, 4).materialize()
+        execs = calls["execute"]
+        for ds, schema in declared:
+            assert ds.materialize().schema().base_schema == schema
+    finally:
+        logging.getLogger("ray.data").removeHandler(handler)
+    assert out.count() == len(_K4)
+    assert calls["packed"] == rounds
+    assert execs <= 2 * rounds + 3, execs
+    # per round: the two wedge sides and the packed semi-join's two sides
+    assert len(declared) == 4 * rounds
+    assert not warned, warned

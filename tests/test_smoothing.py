@@ -617,55 +617,85 @@ def test_local_clq_matches_brute(ray_session):
                    - hits * (n - 1) / (k * nbp)) < 1e-15
 
 
-def test_pair_semi_packed_matches_fallback(ray_session):
+def test_pair_semi_packed_matches_fallback(ray_session, monkeypatch):
     from libpysal_ray.core import joins as J
+
+    packed_calls = []
+    orig_packed = J.pair_semi_packed
+
+    def _packed(*a, **k):
+        packed_calls.append(1)
+        return orig_packed(*a, **k)
+
+    monkeypatch.setattr(J, "pair_semi_packed", _packed)
+
+    def semi(left, right):
+        packed_calls.clear()
+        rows = J.pair_semi(left, right).take_all()
+        return rows, bool(packed_calls)
 
     rng = np.random.default_rng(71)
     # duplicate left pairs (multiplicities), some pairs absent from right
     lf = rng.integers(0, 40, 600)
     ln = rng.integers(0, 40, 600)
-    left = ray.data.from_arrow(pa.table({
-        "focal": pa.array(lf.astype(np.int64)),
-        "neighbor": pa.array(ln.astype(np.int64)),
-        "weight": pa.array(np.ones(600)),
-    })).repartition(3)
+
+    def left_side(f, n, weighted=True):
+        cols = {"focal": pa.array(f.astype(np.int64)),
+                "neighbor": pa.array(n.astype(np.int64))}
+        if weighted:
+            cols["weight"] = pa.array(np.ones(len(f)))
+        return ray.data.from_arrow(pa.table(cols)).repartition(3)
+
     rkeys = {(i, j) for i, j in zip(lf[::2], ln[::2])}
-    right = ray.data.from_arrow(pa.table({
-        "focal": pa.array(np.array([k[0] for k in sorted(rkeys)],
-                                   dtype=np.int64)),
-        "neighbor": pa.array(np.array([k[1] for k in sorted(rkeys)],
-                                      dtype=np.int64)),
-    }))
-    got = sorted(
-        (r["focal"], r["neighbor"], r["weight"])
-        for r in J.pair_semi(left, right).take_all()
-    )
+
+    def right_side(off=0):
+        return ray.data.from_arrow(pa.table({
+            "focal": pa.array(np.array([k[0] + off for k in sorted(rkeys)],
+                                       dtype=np.int64)),
+            "neighbor": pa.array(np.array(
+                [k[1] + off for k in sorted(rkeys)], dtype=np.int64)),
+        }))
+
+    rows, packed = semi(left_side(lf, ln), right_side())
+    got = sorted((r["focal"], r["neighbor"], r["weight"]) for r in rows)
     from collections import Counter
     cnt = Counter(zip(lf, ln))
     want = sorted(
         (int(i), int(j), float(cnt[(i, j)])) for i, j in rkeys
         if (i, j) in cnt
     )
-    assert got == want and len(want) > 100
+    assert got == want and len(want) > 100 and packed
 
     # huge ids force the cogroup fallback — same result contract
     BIG = np.int64(1) << 32
-    left2 = ray.data.from_arrow(pa.table({
-        "focal": pa.array((lf + BIG).astype(np.int64)),
-        "neighbor": pa.array((ln + BIG).astype(np.int64)),
-        "weight": pa.array(np.ones(600)),
-    })).repartition(3)
-    right2 = ray.data.from_arrow(pa.table({
-        "focal": pa.array(np.array([k[0] + BIG for k in sorted(rkeys)],
-                                   dtype=np.int64)),
-        "neighbor": pa.array(np.array([k[1] + BIG for k in sorted(rkeys)],
-                                      dtype=np.int64)),
-    }))
-    got2 = sorted(
-        (r["focal"] - BIG, r["neighbor"] - BIG, r["weight"])
-        for r in J.pair_semi(left2, right2).take_all()
+
+    def unshift(rows):
+        return sorted((r["focal"] - BIG, r["neighbor"] - BIG, r["weight"])
+                      for r in rows)
+
+    rows2, packed2 = semi(left_side(lf + BIG, ln + BIG), right_side(BIG))
+    assert unshift(rows2) == got and not packed2
+
+    # a left side without weight counts each row 1.0 on both paths
+    rows3, packed3 = semi(left_side(lf, ln, weighted=False), right_side())
+    assert sorted((r["focal"], r["neighbor"], r["weight"])
+                  for r in rows3) == got and packed3
+    rows4, packed4 = semi(left_side(lf + BIG, ln + BIG, weighted=False),
+                          right_side(BIG))
+    assert unshift(rows4) == got and not packed4
+
+    # left ids beyond the right side's range cannot match: they drop
+    # before packing, and the join stays on the packed path. The last
+    # row would alias the packed key of the matched pair (i, j).
+    i, j = next((i, j) for i, j, _ in want if i >= 2)
+    far = np.array([40, 7, -5, i - 2], dtype=np.int64)
+    near = np.array([3, 45, 1, j + BIG], dtype=np.int64)
+    rows5, packed5 = semi(
+        left_side(np.concatenate([lf, far]), np.concatenate([ln, near])),
+        right_side(),
     )
-    assert got2 == got
+    assert sorted((r["focal"], r["neighbor"], r["weight"])
+                  for r in rows5) == got and packed5
 
 
 def test_familiarity_buckets_terciles(ray_session):
