@@ -8115,13 +8115,13 @@ SELECT id, e, b,
             + ((e * 1000 // b - (SELECT m_fp FROM m))
                * ((SELECT a_fp FROM pr) * b))
               // GREATEST((SELECT a_fp FROM pr) * b
-                          + (SELECT m_fp FROM m) * 1000, 1)
+                          + (SELECT m_fp FROM m), 1)
             AS BIGINT) AS theta_fp,
        CAST((SELECT m_fp FROM m)
             + ((e * 1000 // b - (SELECT m_fp FROM m))
                * ((SELECT a_fp FROM pr) * b))
               // GREATEST((SELECT a_fp FROM pr) * b
-                          + (SELECT m_fp FROM m) * 1000, 1)
+                          + (SELECT m_fp FROM m), 1)
             AS DOUBLE) / 1000.0 AS theta_f
 FROM a
 """
@@ -8535,7 +8535,7 @@ a AS (
               + ((e * 1000 // b - (SELECT m_fp FROM ebm))
                  * ((SELECT a_fp FROM ebp) * b))
                 // GREATEST((SELECT a_fp FROM ebp) * b
-                            + (SELECT m_fp FROM ebm) * 1000, 1)
+                            + (SELECT m_fp FROM ebm), 1)
               AS BIGINT) AS x
   FROM eb0
 )"""

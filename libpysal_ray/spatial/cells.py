@@ -8,8 +8,9 @@ reference uses for raster contiguity (weights/raster.py:748-874) — which
 makes cell-graph construction shuffle-light and the DuckDB oracle exact.
 
 Also here: hot-cell salting. Web corpora concentrate mass in few cells
-(SURVEY §4 skew row); ``salted_cell_counts`` pre-aggregates per-cell counts,
-derives per-cell salt factors, and ``assign_salt`` splits hot cells into
+(SURVEY §4 skew row); ``salt_factors`` counts rows per cell with a per-block
+``np.unique`` combiner merged by ``core.joins.grouped_sum``, derives exact
+per-cell salt factors, and ``assign_salt`` splits hot cells into
 ``(cell, salt)`` sub-keys so no single reducer drowns.
 """
 
@@ -17,9 +18,11 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data
 
+from libpysal_ray.core import joins as J
 from libpysal_ray.core.hashing import splitmix64
 
 LON_SPAN = 360.0
@@ -88,11 +91,34 @@ def salt_factors(
 ) -> dict[int, int]:
     """Pre-aggregate per-cell counts → salt factor per hot cell.
 
-    Returns {cell: n_salts} for cells above the target (cold cells default
-    to 1 and are not listed). The dict is small (only hot cells) and is
-    broadcast via ray.put by assign_salt.
+    Each block is reduced to its ``(cell, cnt)`` partials by a
+    ``np.unique`` combiner, and ``grouped_sum`` merges the partials: one
+    coalesced task when the input is provably small, otherwise the
+    sharded groupby over at most blocks × distinct-cells partial rows
+    instead of one row per page. The merged counts are exact, so the
+    factors equal those of a plain ``groupby(cell).count()`` — checkpoint
+    partition keys (``cell_salted``) depend on them.
+
+    Returns {cell: ceil(cnt / target)} for cells with cnt > target (cold
+    cells default to 1 and are not listed). The dict is small (only hot
+    cells) and is broadcast via ray.put by assign_salt.
     """
-    counts = ds.groupby(cell_col).count().rename_columns({"count()": "cnt"})
+
+    def _count(t: pa.Table) -> pa.Table:
+        cell, cnt = np.unique(
+            t.column(cell_col).to_numpy(zero_copy_only=False).astype(np.int64),
+            return_counts=True,
+        )
+        return pa.table({cell_col: cell, "cnt": cnt.astype(np.int64)})
+
+    partial = ds.map_batches(_count, batch_format="pyarrow")
+    counts = J.grouped_sum(partial, (cell_col,), ("cnt",)).map_batches(
+        lambda t: pa.table({
+            cell_col: t.column(cell_col),
+            "cnt": pc.cast(t.column("sum(cnt)"), pa.int64()),
+        }),
+        batch_format="pyarrow",
+    )
     hot = counts.filter(expr=f"cnt > {target_rows_per_part}").take_all()
     return {
         int(r[cell_col]): int(np.ceil(r["cnt"] / target_rows_per_part))

@@ -414,7 +414,8 @@ def palma_ratio(
     if k_top < 1 or k_bot < 1:
         raise ValueError("palma_ratio: shares too small for n")
     cum = np.cumsum(cnt)
-    vsum = np.cumsum(vs * cnt, dtype=object)  # unbounded ints
+    # products as Python ints: v·cnt alone can pass 2^63 in int64
+    vsum = np.cumsum(vs.astype(object) * cnt.astype(object))
 
     def _bottom_sum(k: int) -> int:
         # exact sum of the k smallest values via histogram apportionment

@@ -177,12 +177,13 @@ def eb_smooth(
         S   = Sum_i b_i * (r_i - m)^2           (exact int64, guarded)
         s2  = S // (B*scale)                    (moment variance, fp)
         a   = max(s2 - m*n // B, 0)             (prior variance, fp)
-        th_i = m + tdiv((r_i - m) * a*b_i, a*b_i + m*scale)
+        th_i = m + tdiv((r_i - m) * a*b_i, a*b_i + m)
 
-    where tdiv truncates toward zero (DuckDB ``//``). a*b_i/(a*b_i +
-    m*scale) is the classic shrinkage weight a/(a + m/b_i) cleared of
-    denominators; when the prior variance clamps to 0 every estimate
-    collapses to the global rate m — the reference's own convention.
+    where tdiv truncates toward zero (DuckDB ``//``). a*b_i/(a*b_i + m)
+    is the classic shrinkage weight a/(a + m/b_i) cleared of
+    denominators (a and m share the 1/scale unit, which cancels); when
+    the prior variance clamps to 0 every estimate collapses to the
+    global rate m — the reference's own convention.
     Output (id, e, b, r_fp, theta_fp, theta_f) with theta_f =
     theta_fp/scale the one pinned float division.
 
@@ -229,7 +230,7 @@ def eb_smooth(
     )
     s2_fp = S // (B * sc)
     a_fp = max(s2_fp - m_fp * n // B, 0)
-    if a_fp * bmax + m_fp * sc >= (1 << 62) or a_fp * bmax * dmax >= (
+    if a_fp * bmax + m_fp >= (1 << 62) or a_fp * bmax * dmax >= (
         1 << 62
     ):
         raise ValueError("eb_smooth: shrinkage terms overflow int64; "
@@ -244,7 +245,7 @@ def eb_smooth(
         # and then the numerator is 0 too (theta collapses to m = 0)
         theta = np.int64(m_fp) + _tdiv(
             (r - np.int64(m_fp)) * wn,
-            np.maximum(wn + np.int64(m_fp * sc), 1),
+            np.maximum(wn + np.int64(m_fp), 1),
         )
         return pa.table({
             id_col: t.column("node"),

@@ -962,10 +962,12 @@ def novelty_score(
 
     100 TB shape: distinct (window-hash, id) rows per batch (the
     vectorized flat-shingle path, Σ rows ≈ corpus tokens), ONE
-    groupby(hash) count (= document frequency, rows are per-doc
-    distinct), one bucket_join back, per-doc segmented batch partials
-    into a final groupby(id)."""
-    from libpysal_ray.core.joins import bucket_join
+    ``grouped_agg`` count by hash (= document frequency, rows are
+    per-doc distinct; the materialized rows' known size picks one
+    coalesced task when small, the sharded groupby otherwise), one
+    bucket_join back, per-doc segmented batch partials into a final
+    groupby(id)."""
+    from libpysal_ray.core.joins import bucket_join, grouped_agg
 
     def _rows(t: pa.Table) -> pa.Table:
         sh, sd, _ = _flat_shingles(t.column(text_col), k)
@@ -984,7 +986,7 @@ def novelty_score(
     import pyarrow.compute as pc
 
     rows = ds.map_batches(_rows, batch_format="pyarrow").materialize()
-    df = rows.groupby("sh").count().map_batches(
+    df = grouped_agg(rows, ("sh",), (None,), "count").map_batches(
         lambda t: pa.table({
             "sh": t.column("sh"),
             "df": pc.cast(t.column("count()"), pa.int64()),

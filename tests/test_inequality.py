@@ -119,3 +119,25 @@ def test_dissimilarity_guards(ray_session):
         dissimilarity_index(_units([0, 0], [1, 1]))
     with pytest.raises(ValueError, match="nonnegative"):
         dissimilarity_index(_units([2, -1], [1, 1]))
+
+
+def test_palma_exact_past_int64(ray_session):
+    from libpysal_ray.spatial.inequality import palma_ratio
+
+    # four rows hold one value near 2^62: value × count passes 2^63,
+    # so the top share and the total only fit unbounded ints
+    big = (1 << 62) + 7
+    v = list(range(1, 17)) + [big] * 4
+    ds = ray.data.from_arrow(pa.table({
+        "v": pa.array(np.array(v, dtype=np.int64)),
+    })).repartition(3)
+    row = palma_ratio(ds, value_col="v").take_all()[0]
+    sv = sorted(v)
+    n = len(sv)
+    k_top, k_bot = n * 10 // 100, n * 40 // 100
+    top, bot = sum(sv[n - k_top:]), sum(sv[:k_bot])
+    assert max(v) * v.count(big) >= 1 << 63
+    assert (row["n"], row["k_top"], row["k_bot"]) == (n, k_top, k_bot)
+    assert row["top_sum"] == str(top)
+    assert row["bot_sum"] == str(bot)
+    assert row["palma_f"] == pytest.approx(top / bot, rel=1e-15)

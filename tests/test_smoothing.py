@@ -76,7 +76,7 @@ def _eb_ref(e, b, sc):
     for ri, y in zip(r, b):
         wn = a * int(y)
         num = (ri - m) * wn
-        den = max(wn + m * sc, 1)
+        den = max(wn + m, 1)
         q = abs(num) // den
         out.append(m + (q if num >= 0 else -q))
     return out

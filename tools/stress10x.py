@@ -112,7 +112,9 @@ def main() -> None:
     if not ray.is_initialized():
         ray.init(
             address="local",
-            num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
+            num_cpus=int(
+                os.environ.get("RAY_GRAFT_CPUS") or os.cpu_count() or 1
+            ),
             include_dashboard=False,
         )
     from libpysal_ray.pipelines.queries import QUERIES
