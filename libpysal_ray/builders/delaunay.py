@@ -705,20 +705,6 @@ def _interval_alive(
     return alive
 
 
-def _bw_extended(x: np.ndarray, y: np.ndarray):
-    """Super-vertex-extended coordinate arrays matching bowyer_watson's
-    construction (D = 30·span), so circumcircles of its triangles can be
-    evaluated outside the insertion loop."""
-    minx, maxx = float(x.min()), float(x.max())
-    miny, maxy = float(y.min()), float(y.max())
-    span = max(maxx - minx, maxy - miny, 1.0)
-    cx, cy = (minx + maxx) / 2.0, (miny + maxy) / 2.0
-    D = 30.0 * span
-    Xe = np.concatenate([x, [cx - 1.5 * D, cx + 1.5 * D, cx]])
-    Ye = np.concatenate([y, [cy - D, cy - D, cy + 1.5 * D]])
-    return Xe, Ye
-
-
 _DD_SCHEMA = pa.schema(
     [
         ("kind", pa.int8()),

@@ -195,9 +195,21 @@ def resolve_isolates(
     # id universe) reuses the cached blocks with zero recompute. No
     # isolates means no union: the empty marker output carries no schema,
     # and Ray warns on every later execution that reads the union.
-    if markers.count() == 0:
+    out = real if markers.count() == 0 else real.union(markers)
+    out._lpr_real_edges = real  # read by real_edges()
+    return out
+
+
+def real_edges(edges: ray.data.Dataset) -> ray.data.Dataset:
+    """``edges`` without isolate markers. Output of ``resolve_isolates``
+    yields its kept real-edge Dataset; anything else is filtered. Keeping
+    the real edges matters beyond the saved map: the filter empties the
+    marker block, and an empty block reaches the next fused map without a
+    schema, so Ray logs a schema change on every execution that reads it."""
+    real = getattr(edges, "_lpr_real_edges", None)
+    if real is not None:
         return real
-    return real.union(markers)
+    return edges.map_batches(drop_isolate_markers, batch_format="pyarrow")
 
 
 def drop_isolate_markers(t: pa.Table) -> pa.Table:

@@ -782,9 +782,7 @@ class RayGraph:
 
     # ------------------------------------------------------ graph algebra
     def _real_edges(self) -> ray.data.Dataset:
-        return self._edges.map_batches(
-            E.drop_isolate_markers, batch_format="pyarrow"
-        )
+        return E.real_edges(self._edges)
 
     def higher_order(
         self,

@@ -1,19 +1,30 @@
-"""Join strategies over edge/attribute Datasets.
+"""Join and grouping primitives over edge/attribute Datasets.
 
-Two physical strategies, chosen by the caller per the scale of the small side:
+* **broadcast** — ``broadcast_lookup``: ``ray.put`` the small side once;
+  every ``map_batches`` task reads it zero-copy from the object store and
+  does a vectorized numpy lookup. No shuffle; right whenever one side fits
+  in a worker heap (attribute vectors, polygon layers, id subsets).
+* **one shuffle, then a vectorized kernel** — ``bucket_join`` (hash the
+  int64 key into buckets, ONE groupby(bucket), a sort-probe per bucket),
+  ``grouped_by_key`` (the same bucketing around a caller's key-sorted
+  kernel), ``grouped_agg``/``grouped_sum`` (Ray's native aggregate) and
+  ``per_group`` (``map_groups``). The cogroup pattern (tag sides → union →
+  group by key, ``cogroup_pairs``) builds set ops and anti-joins on them.
 
-* **broadcast** — ``ray.put`` the small side once; every ``map_batches`` task
-  reads it zero-copy from the object store and does a vectorized numpy
-  lookup. This is the right plan whenever one side fits in a worker heap
-  (attribute vectors, polygon layers, id subsets) — it avoids an all-to-all
-  shuffle entirely.
-* **bucket join** — ``bucket_join``: hash the int64 key into buckets, ONE
-  groupby(bucket) shuffle, then a vectorized sort-probe per bucket, for
-  large×large, e.g. higher-order self-joins of the edge table.
+**The small-input switch.** Those four shuffling primitives first ask
+``_coalesced``: when every input has a ``_chain_size_upper`` bound and
+the bounds sum to ≤ ``SMALL_COGROUP_BYTES``, the input is repartitioned
+to ONE block and one task runs the same kernel over the whole table —
+no shuffle stage. Unknown sizes always shuffle. Setting
+``SMALL_COGROUP_BYTES = -1`` forces the sharded path for all four.
 
-The cogroup pattern (tag sides → union → groupby key) implements set ops and
-anti-joins without a dedicated join operator; it costs one shuffle, same as
-a bucket join, but composes with arbitrary per-group logic.
+**The ``_chain_size_upper`` contract.** The bound walks map-like ops
+(map, project, filter, union, limit, repartition) down to inputs whose
+size Ray's plan metadata knows (reads, materialized data) and assumes
+every map emits ~O(input) bytes. A UDF whose output can outgrow its input
+(pair emission, join fanout) sets ``fn._size_expanding = True``; the walk
+stops there and reports None ("assume huge"). ``auto_num_buckets`` sizes
+the bucket count from the same bound.
 """
 
 from __future__ import annotations
@@ -82,16 +93,8 @@ _COALESCED_EMIT_ROWS = 4_000_000
 
 
 def _chain_size_upper(ds: ray.data.Dataset) -> int | None:
-    """Upper bound on a plan's materialized bytes by walking map-like ops
-    down to inferable inputs (materialized buffers / reads). Returns None
-    when any op on the way is not size-preserving-ish — callers must treat
-    None as 'assume huge'.
-
-    CONTRACT: the walk assumes map UDFs emit ~O(input-size) output. A
-    map_batches UDF that EXPANDS its block (pair emission, per-block
-    query scans) must NOT feed a walkable chain into a small-switched
-    consumer — route such stages through the native sharded groupby or
-    materialize first (see the KNN fallback merges)."""
+    """Upper bound on a plan's materialized bytes, or None ('assume
+    huge'); the walk and its contract are in the module docstring."""
 
     def walk(op) -> int | None:
         try:
@@ -119,6 +122,35 @@ def _chain_size_upper(ds: ray.data.Dataset) -> int | None:
         return walk(ds._logical_plan.dag)
     except Exception:  # noqa: BLE001
         return None
+
+
+def _coalesced(u: ray.data.Dataset, kernel, *sides: ray.data.Dataset):
+    """The small-input switch: ``kernel`` run as ONE task over ``u``
+    coalesced to a single block, when every input in ``sides`` (default:
+    ``u``) has a ``_chain_size_upper`` bound and they sum to ≤
+    SMALL_COGROUP_BYTES; else None and the caller shuffles. Downstream
+    walks read ``kernel._size_expanding``, so a kernel wrapping a caller's
+    fn copies that fn's mark."""
+    est = [_chain_size_upper(d) for d in sides or (u,)]
+    if any(e is None for e in est) or sum(est) > SMALL_COGROUP_BYTES:
+        return None
+    return u.repartition(1).map_batches(
+        kernel, batch_size=None, batch_format="pyarrow"
+    )
+
+
+def _segments(keys, ties=()) -> tuple[np.ndarray, np.ndarray]:
+    """Segment rows into groups of equal ``keys`` (numpy columns, first =
+    primary): returns ``order``, the stable lexsort permutation by keys
+    then ``ties``, and ``starts``, the sorted offsets where each group
+    begins."""
+    order = np.lexsort(tuple(ties[::-1]) + tuple(keys[::-1]))
+    new = np.ones(len(order), bool)
+    new[1:] = False
+    for k in keys:
+        ks = k[order]
+        new[1:] |= ks[1:] != ks[:-1]
+    return order, np.flatnonzero(new)
 
 
 _AGG_UFUNC = {
@@ -187,29 +219,19 @@ def _grouped_agg_batch(keys: tuple[str, ...], cols: tuple[str, ...], ops):
                 out0[f"{op}({c or ''})"] = pa.array([], pa.float64())
             return pa.table(out0)
         kv = [t.column(k).to_numpy(zero_copy_only=False) for k in keys]
-        order = np.lexsort(kv[::-1])
-        kv = [v[order] for v in kv]
-        new = np.empty(t.num_rows, bool)
-        new[0] = True
-        new[1:] = False
-        for v in kv:
-            new[1:] |= v[1:] != v[:-1]
-        starts = np.flatnonzero(new)
+        order, starts = _segments(kv)
+        first = order[starts]
         out = {
-            k: pa.array(v[new], type=t.column(k).type)
+            k: pa.array(v[first], type=t.column(k).type)
             for k, v in zip(keys, kv)
         }
-        counts = None
+        counts = np.diff(starts, append=t.num_rows)
         for c, op in zip(cols, ops):
             if op == "count":
-                if counts is None:
-                    counts = np.diff(np.append(starts, t.num_rows))
                 out["count()"] = pa.array(counts.astype(np.int64))
                 continue
             v = t.column(c).to_numpy(zero_copy_only=False)[order]
             if op == "mean":
-                if counts is None:
-                    counts = np.diff(np.append(starts, t.num_rows))
                 out[f"mean({c})"] = pa.array(
                     np.add.reduceat(v.astype(np.float64), starts) / counts
                 )
@@ -226,11 +248,9 @@ def grouped_sum(
     cols: tuple[str, ...],
     *size_sides: ray.data.Dataset,
 ) -> ray.data.Dataset:
-    """groupby(keys).sum(cols) with the small-input switch: when a provable
-    upper bound on the inputs (``size_sides``, defaulting to ``u`` itself)
-    fits SMALL_COGROUP_BYTES, one coalesced vectorized task replaces the
-    native sort-aggregate (seconds of fixed wall per stage). Output columns
-    are named sum(col) either way. Unknown sizes take the scale path."""
+    """groupby(keys).sum(cols) through the small-input switch, decided by
+    the size bound of ``size_sides`` (default ``u``). Output columns are
+    named sum(col) on both paths."""
     return grouped_agg(u, keys, cols, "sum", *size_sides)
 
 
@@ -246,17 +266,11 @@ def grouped_agg(
     tuple. count ignores its column (pass None)."""
     if isinstance(ops, str):
         ops = tuple(ops for _ in cols)
-    sides = size_sides if size_sides else (u,)
-    est = [_chain_size_upper(d) for d in sides]
-    if all(e is not None for e in est) and sum(est) <= SMALL_COGROUP_BYTES:
-        return u.repartition(1).map_batches(
-            _grouped_agg_batch(tuple(keys), tuple(cols), ops),
-            batch_size=None,
-            batch_format="pyarrow",
-        )
-    g = u.groupby(list(keys))
-    if len(set(ops)) == 1 and ops[0] not in ("count", "xor"):
-        return getattr(g, ops[0])(list(cols))
+    out = _coalesced(
+        u, _grouped_agg_batch(tuple(keys), tuple(cols), ops), *size_sides
+    )
+    if out is not None:
+        return out
     from ray.data.aggregate import Count, Max, Mean, Min, Sum
 
     mk = {"sum": Sum, "min": Min, "max": Max, "mean": Mean}
@@ -266,7 +280,7 @@ def grouped_agg(
         else mk[op](c)
         for c, op in zip(cols, ops)
     ]
-    return g.aggregate(*aggs)
+    return u.groupby(list(keys)).aggregate(*aggs)
 
 
 def per_group(
@@ -274,40 +288,29 @@ def per_group(
     key_cols: tuple[str, ...],
     fn,
 ) -> ray.data.Dataset:
-    """groupby(key_cols).map_groups(fn) with the small-input switch: when
-    the plan-walk proves the input fits SMALL_COGROUP_BYTES, one coalesced
-    task lexsorts the whole table and calls ``fn`` once per group slice —
-    identical per-group semantics, none of the native groupby's fixed
-    stage cost. Unknown/large sizes shuffle."""
-    est = _chain_size_upper(ds)
-    if est is not None and est <= SMALL_COGROUP_BYTES:
+    """groupby(key_cols).map_groups(fn) through the small-input switch:
+    the coalesced task lexsorts the whole table and calls ``fn`` once per
+    group slice — identical per-group semantics."""
 
-        def _all(t: pa.Table) -> pa.Table:
-            if t.num_rows == 0:
-                return fn(t)
-            keys = [
-                t.column(c).to_numpy(zero_copy_only=False) for c in key_cols
-            ]
-            order = np.lexsort(keys[::-1])
-            ts = t.take(pa.array(order))
-            new = np.empty(t.num_rows, bool)
-            new[0] = True
-            new[1:] = False
-            for k in keys:
-                ks = k[order]
-                new[1:] |= ks[1:] != ks[:-1]
-            bounds = np.append(np.flatnonzero(new), t.num_rows)
-            outs = [
-                fn(ts.slice(s, e - s))
-                for s, e in zip(bounds[:-1], bounds[1:])
-            ]
-            return pa.concat_tables([o for o in outs if o.num_rows > 0]
-                                    or outs[:1])
-
-        _all._size_expanding = getattr(fn, "_size_expanding", False)
-        return ds.repartition(1).map_batches(
-            _all, batch_size=None, batch_format="pyarrow"
+    def _all(t: pa.Table) -> pa.Table:
+        if t.num_rows == 0:
+            return fn(t)
+        order, starts = _segments(
+            [t.column(c).to_numpy(zero_copy_only=False) for c in key_cols]
         )
+        ts = t.take(pa.array(order))
+        bounds = np.append(starts, t.num_rows)
+        outs = [
+            fn(ts.slice(s, e - s))
+            for s, e in zip(bounds[:-1], bounds[1:])
+        ]
+        return pa.concat_tables([o for o in outs if o.num_rows > 0]
+                                or outs[:1])
+
+    _all._size_expanding = getattr(fn, "_size_expanding", False)
+    out = _coalesced(ds, _all)
+    if out is not None:
+        return out
     return ds.groupby(list(key_cols)).map_groups(fn, batch_format="pyarrow")
 
 
@@ -343,14 +346,9 @@ def topk_per_group(
                 # int64.min; floats negate safely
                 v = ~v if v.dtype.kind in "iu" else -v
             sort_keys.append(v)
-        # lexsort: last key is primary → (orders..., key) reversed
-        order = np.lexsort(tuple(reversed(sort_keys)) + (key,))
-        ks = key[order]
-        new = np.ones(len(ks), bool)
-        new[1:] = ks[1:] != ks[:-1]
-        starts = np.flatnonzero(new)
-        gid = np.cumsum(new) - 1
-        rank = np.arange(len(ks)) - starts[gid]
+        order, starts = _segments([key], sort_keys)
+        n = len(order)
+        rank = np.arange(n) - np.repeat(starts, np.diff(starts, append=n))
         return t.take(pa.array(order[rank < k]))
 
     local = ds.map_batches(_kernel, batch_format="pyarrow")
@@ -415,20 +413,6 @@ def cogroup_pairs(
     )
 
 
-def _size_estimate(ds: ray.data.Dataset) -> int | None:
-    """Byte-size estimate WITHOUT forcing execution: logical-plan metadata
-    inference (free for reads and materialized plans), else None. Never
-    calls ``Dataset.size_bytes()`` on an unexecuted plan — that would
-    execute the pipeline mid-build."""
-    try:
-        sb = ds._logical_plan.dag.infer_metadata().size_bytes
-        if sb is not None:
-            return int(sb)
-    except Exception:  # noqa: BLE001 — internal API; fall through
-        pass
-    return None
-
-
 def auto_num_buckets(
     *dss: ray.data.Dataset,
     floor: int | None = None,
@@ -440,15 +424,15 @@ def auto_num_buckets(
     the cluster core count (parallelism) and capped. Each bucket is
     processed as ONE in-memory table inside groupby().map_groups, so
     per-task memory is ~total/num_buckets — a FIXED count is corpus/64 per
-    task and OOMs at 100× scale (VERDICT r2 #1). Inputs whose size cannot
-    be known without executing them contribute 0 (the floor still scales
-    the count with the cluster)."""
+    task and OOMs at 100× scale (VERDICT r2 #1). Inputs without a
+    ``_chain_size_upper`` bound contribute 0 (the floor still scales the
+    count with the cluster)."""
     if floor is None:
         try:
             floor = max(16, int(ray.cluster_resources().get("CPU", 16)))
         except Exception:  # noqa: BLE001 — no cluster yet
             floor = 16
-    total = sum(filter(None, (_size_estimate(d) for d in dss)))
+    total = sum(filter(None, (_chain_size_upper(d) for d in dss)))
     need = -(-total // target_bytes) if total else 0
     return int(min(cap, max(floor, need)))
 
@@ -478,7 +462,7 @@ def grouped_by_key(
     """
     from libpysal_ray.core.hashing import splitmix64
 
-    # the small-input coalesce applies only when the caller did not pin a
+    # the small-input switch applies only when the caller did not pin a
     # bucket count — kernels like the as-of join's rank packer rely on an
     # explicit num_buckets bounding distinct keys per bucket
     explicit_buckets = num_buckets is not None
@@ -500,22 +484,13 @@ def grouped_by_key(
         order = np.lexsort(keys[::-1])
         return fn(t.take(pa.array(order)))
 
-    est = None if explicit_buckets else _chain_size_upper(ds)
-    if est is not None and est <= SMALL_COGROUP_BYTES:
-        # provably small input: ONE coalesced task runs the same sorted
-        # multi-group kernel over the whole table (the all-rows-of-a-key
-        # guarantee is trivial with one bucket) — skips the hash-bucket
-        # shuffle's fixed stage cost. Unknown sizes shuffle.
-        _bucket._size_expanding = getattr(fn, "_size_expanding", False)
-        return ds.map_batches(_tag, batch_format="pyarrow").repartition(
-            1
-        ).map_batches(_bucket, batch_size=None, batch_format="pyarrow")
-
-    return (
-        ds.map_batches(_tag, batch_format="pyarrow")
-        .groupby("__gb")
-        .map_groups(_bucket, batch_format="pyarrow")
-    )
+    _bucket._size_expanding = getattr(fn, "_size_expanding", False)
+    tagged = ds.map_batches(_tag, batch_format="pyarrow")
+    # one bucket makes the all-rows-of-a-key guarantee trivial
+    out = None if explicit_buckets else _coalesced(tagged, _bucket, ds)
+    if out is not None:
+        return out
+    return tagged.groupby("__gb").map_groups(_bucket, batch_format="pyarrow")
 
 
 def pair_anti(
@@ -629,16 +604,12 @@ def pair_semi_packed(
         if not inside.all():
             f, n, w = f[inside], n[inside], w[inside]
         key = f * SH + n
-        order = np.argsort(key, kind="stable")
-        ks, ws = key[order], w[order]
-        new = np.ones(len(ks), bool)
-        new[1:] = ks[1:] != ks[:-1]
-        starts = np.flatnonzero(new)
-        if len(starts) == 0:
+        if len(key) == 0:
             return _PKW_SCHEMA.empty_table()
+        order, starts = _segments([key])
         return pa.table({
-            "pk": pa.array(ks[starts]),
-            "w": pa.array(np.add.reduceat(ws, starts)),
+            "pk": pa.array(key[order[starts]]),
+            "w": pa.array(np.add.reduceat(w[order], starts)),
         })
 
     def _packr(t: pa.Table) -> pa.Table:
@@ -648,17 +619,15 @@ def pair_semi_packed(
         return pa.table({"pk": pa.array(f * SH + n)})
 
     def _sumk(t: pa.Table) -> pa.Table:
-        # bucket kernel: rows pk-sorted; one segmented sum
+        # bucket kernel: one segmented sum
         k = t.column("pk").to_numpy(zero_copy_only=False)
         w = t.column("w").to_numpy(zero_copy_only=False)
         if len(k) == 0:
             return _PKW_SCHEMA.empty_table()
-        new = np.ones(len(k), bool)
-        new[1:] = k[1:] != k[:-1]
-        starts = np.flatnonzero(new)
+        order, starts = _segments([k])
         return pa.table({
-            "pk": pa.array(k[starts]),
-            "w": pa.array(np.add.reduceat(w, starts)),
+            "pk": pa.array(k[order[starts]]),
+            "w": pa.array(np.add.reduceat(w[order], starts)),
         })
 
     # NOT grouped_sum: its scale branch is the native sort-aggregate,
@@ -712,7 +681,9 @@ def bucket_join(
     join (searchsorted ranges + ``Table.take`` — no pandas, no per-key
     Python). This replaces Ray's JoinOperator for the engine's edge-table
     self-joins: same one-shuffle cost, but no join-actor startup latency
-    and the per-bucket kernel is a single vectorized probe.
+    and the per-bucket kernel is a single vectorized probe. Provably
+    small inputs take the small-input switch instead, with or without
+    ``num_buckets``.
 
     ``how``: inner | left | semi | anti (semi/anti keep left columns
     only; left keeps unmatched left rows with nulls in the right columns).
@@ -766,8 +737,16 @@ def bucket_join(
     )
 
     out_cols = lcols if how in ("semi", "anti") else lcols + rval
+    emit_cap = _COALESCED_EMIT_ROWS  # read at plan build, not in workers
 
-    def _probe(t: pa.Table) -> pa.Table:
+    def _probe(t: pa.Table):
+        """Sort-probe one table of tagged rows (searchsorted ranges +
+        ``Table.take``). Inner/left OUTPUT fanout is unbounded even when
+        both inputs are small (hot keys), so matches stream out in blocks
+        of ≤ emit_cap + max fanout rows (VERDICT r3 #7); a left join
+        yields its unmatched left rows first, with the nulls ``_prep``
+        put in the right columns. An empty result still yields one
+        empty block carrying the output schema."""
         side = t.column("__s").to_numpy(zero_copy_only=False)
         li = np.flatnonzero(side == 0)
         ri = np.flatnonzero(side == 1)
@@ -778,64 +757,10 @@ def bucket_join(
         lo = np.searchsorted(rk_s, lk, "left")
         hi = np.searchsorted(rk_s, lk, "right")
         cnt = hi - lo
-        if how == "semi":
-            keep = li[cnt > 0]
-            return t.take(pa.array(keep)).select(out_cols)
-        if how == "anti":
-            keep = li[cnt == 0]
-            return t.take(pa.array(keep)).select(out_cols)
-        if how == "left" and (cnt == 0).any():
-            # unmatched left rows already carry nulls in the right columns
-            # (built by _prep) — emit them as-is alongside the inner rows
-            unmatched = t.take(pa.array(li[cnt == 0])).select(out_cols)
-        else:
-            unmatched = None
-        total = int(cnt.sum())
-        l_rep = np.repeat(np.arange(len(lk)), cnt)
-        starts = np.repeat(lo, cnt)
-        offs = np.arange(total) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-        r_pos = order[starts + offs]
-        lt = t.take(pa.array(li[l_rep]))
-        rt = t.take(pa.array(ri[r_pos]))
-        cols: dict = {}
-        for c in lcols:
-            cols[c] = lt.column(c)
-        for c in rval:
-            cols[c] = rt.column(c)
-        inner = pa.table(cols)
-        if unmatched is not None:
-            inner = pa.concat_tables([inner.select(out_cols), unmatched])
-        return inner
-
-    if how in ("inner", "left"):
-        # join fanout is unbounded (hot keys): downstream plan walks must
-        # not treat this output as ~O(input)
-        _probe._size_expanding = True
-
-    emit_cap = _COALESCED_EMIT_ROWS  # bound on the driver at plan time
-
-    def _probe_stream(t: pa.Table):
-        """Coalesced-path probe with a bounded emission size: inner/left
-        OUTPUT fanout is unbounded even when both INPUTS are provably
-        small (hot keys), so the single task streams the expanded rows in
-        ≤_COALESCED_EMIT_ROWS blocks instead of allocating them all at
-        once (VERDICT r3 #7). Per-left-row fanout is bounded by the small
-        right side, so each emitted block is ≤ cap + max(cnt) rows. The
-        cap is bound at plan-build time (closure cell, not a worker-side
-        module global) so driver-side tuning/tests take effect."""
         if how in ("semi", "anti"):
-            yield _probe(t)
+            keep = li[cnt > 0] if how == "semi" else li[cnt == 0]
+            yield t.take(pa.array(keep)).select(out_cols)
             return
-        side = t.column("__s").to_numpy(zero_copy_only=False)
-        li = np.flatnonzero(side == 0)
-        ri = np.flatnonzero(side == 1)
-        lk = t.column(on).to_numpy(zero_copy_only=False)[li]
-        rk = t.column(on).to_numpy(zero_copy_only=False)[ri]
-        order = np.argsort(rk, kind="stable")
-        rk_s = rk[order]
-        lo = np.searchsorted(rk_s, lk, "left")
-        hi = np.searchsorted(rk_s, lk, "right")
-        cnt = hi - lo
         emitted = False
         if how == "left" and (cnt == 0).any():
             yield t.take(pa.array(li[cnt == 0])).select(out_cols)
@@ -867,23 +792,22 @@ def bucket_join(
             yield pa.table(cols).select(out_cols)
             emitted = True
         if not emitted:
-            # keep the output schema observable on an empty result
             yield pa.table(
                 {c: pa.array([], lschema.field(c).type) if c in lcols
                  else pa.array([], rschema.field(c).type)
                  for c in out_cols}
             )
 
-    _probe_stream._size_expanding = getattr(_probe, "_size_expanding", False)
+    if how in ("inner", "left"):
+        # join fanout is unbounded (hot keys): downstream plan walks must
+        # not treat this output as ~O(input)
+        _probe._size_expanding = True
 
-    el, er = _chain_size_upper(left), _chain_size_upper(right)
-    if el is not None and er is not None and el + er <= SMALL_COGROUP_BYTES:
-        # provably small inputs: ONE coalesced task sort-probes the whole
-        # pair — skips the bucket shuffle's fixed stage cost. Unknown
-        # sizes shuffle. Output size is NOT bounded by input size (inner
-        # hot keys), so the task emits bounded blocks (_probe_stream).
-        return u.repartition(1).map_batches(
-            _probe_stream, batch_size=None, batch_format="pyarrow"
-        )
+    out = _coalesced(u, _probe, left, right)
+    if out is not None:
+        return out
+    # map_groups calls its UDF once per group and takes no generator
+    return u.groupby("__b").map_groups(
+        lambda t: pa.concat_tables(list(_probe(t))), batch_format="pyarrow"
+    )
 
-    return u.groupby("__b").map_groups(_probe, batch_format="pyarrow")

@@ -204,43 +204,6 @@ class OrAgg(_aggfn_v2_base()):
         return int(np.int64(a) | np.int64(b))
 
 
-def bloom_semi(
-    left: ray.data.Dataset,
-    right: ray.data.Dataset,
-    col: str,
-    m_bits: int = 1 << 18,
-    k: int = 4,
-) -> ray.data.Dataset:
-    """Approximate broadcast semi-join: keep left rows whose ``col`` is
-    MAYBE in right's value set per the Bloom filter — no false
-    negatives; false-positive rate ≈ (1 - e^{-kn/m})^k. The 100 TB
-    replacement for a shuffle semi-join when right is medium-sized: the
-    filter is m/8 bytes, ray.put once, and the left side streams through
-    one stateless batch filter. The verdict is deterministic (the same
-    bit tests the SQL oracle can run), just not exact set membership."""
-    import ray as _ray
-
-    words = np.zeros(m_bits // 64, dtype=np.uint64)
-    for r in bloom_words(right, col, m_bits, k).take_all():
-        words[r["word"]] = np.uint64(np.int64(r["bits"]))
-    ref = _ray.put(words)
-
-    def _filter(t: pa.Table) -> pa.Table:
-        w = _ray.get(ref)
-        v = t.column(col).to_numpy(zero_copy_only=False)
-        if len(v) == 0:
-            return t
-        pos = _bloom_positions(np.asarray(v, np.int64), m_bits, k)
-        hit = np.ones(len(v), dtype=bool)
-        for j in range(k):
-            p = pos[:, j]
-            hit &= (w[p >> 6] >> (p & 63).astype(np.uint64)
-                    ) & np.uint64(1) > 0
-        return t.filter(pa.array(hit))
-
-    return left.map_batches(_filter, batch_format="pyarrow")
-
-
 def cms_counts(
     ds: ray.data.Dataset, col: str, width: int = 8192, depth: int = 4
 ) -> ray.data.Dataset:

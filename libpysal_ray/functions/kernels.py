@@ -1,4 +1,4 @@
-"""Kernel function registry — vectorized per-edge maps.
+"""Kernel functions — vectorized per-edge maps.
 
 Two families, matching both reference generations:
 * legacy `Kernel._eval_kernel` (weights/distance.py:702-745): triangular,
@@ -8,8 +8,8 @@ Two families, matching both reference generations:
   cosine, exponential, boxcar, identity, + arbitrary callable.
 
 All evaluate z = d/bandwidth arrays elementwise — pure numpy, used inside
-``map_batches``; registering a callable mirrors the reference's custom
-kernel hook (graph/_kernel.py:255-258).
+``map_batches``; passing a callable as ``function`` mirrors the reference's
+custom kernel hook (graph/_kernel.py:255-258).
 """
 
 from __future__ import annotations
@@ -18,20 +18,12 @@ from typing import Callable
 
 import numpy as np
 
-_REGISTRY: dict[str, Callable[[np.ndarray], np.ndarray]] = {}
-
-
-def register_kernel(name: str, fn: Callable[[np.ndarray], np.ndarray]) -> None:
-    _REGISTRY[name] = fn
-
 
 def evaluate_kernel(z: np.ndarray, function: str | Callable = "triangular",
                     normalize: bool = True) -> np.ndarray:
     if callable(function):
         return np.asarray(function(z), dtype=np.float64)
     f = function.lower()
-    if f in _REGISTRY:
-        return _REGISTRY[f](z)
     az = np.abs(z)
     if f == "triangular":
         return 1.0 - az

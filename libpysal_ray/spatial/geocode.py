@@ -20,7 +20,7 @@ import numpy as np
 import pyarrow as pa
 import ray.data
 
-from libpysal_ray.core.hashing import GEO_CX, GEO_CY, hash_string_array_u64, mul32
+from libpysal_ray.core.hashing import GEO_CX, GEO_CY, mul32
 
 M32F = 4294967296.0
 
@@ -52,41 +52,5 @@ def geocode_ids(
             x, y = ix, iy
         t = t.append_column("x", pa.array(x))
         return t.append_column("y", pa.array(y))
-
-    return ds.map_batches(_geo, batch_format="pyarrow")
-
-
-def geocode_urls(
-    ds: ray.data.Dataset,
-    url_col: str = "url",
-    n_clusters: int = 64,
-    cluster_frac: float = 0.5,
-    seed: int = 7,
-) -> ray.data.Dataset:
-    """Geocode urls to lon/lat with synthetic hot clusters (web corpora
-    concentrate in few cells — FIXTURES.md F1). Half the mass lands near one
-    of ``n_clusters`` centers to induce realistic cell skew for the salting
-    path; the rest is uniform. Deterministic per url."""
-
-    def _geo(t: pa.Table) -> pa.Table:
-        h = hash_string_array_u64(t.column(url_col), seed=seed)
-        h2 = hash_string_array_u64(t.column(url_col), seed=seed + 1)
-        u = (h >> np.uint64(11)).astype(np.float64) / float(1 << 53)
-        v = (h2 >> np.uint64(11)).astype(np.float64) / float(1 << 53)
-        lon = u * 360.0 - 180.0
-        lat = v * 170.0 - 85.0
-        # cluster half the points around deterministic centers
-        is_clustered = (h % np.uint64(1000)).astype(np.float64) < cluster_frac * 1000
-        cidx = (h2 % np.uint64(n_clusters)).astype(np.int64)
-        rng_c = np.random.default_rng(seed)
-        centers = np.stack(
-            [rng_c.uniform(-170, 170, n_clusters), rng_c.uniform(-80, 80, n_clusters)],
-            axis=1,
-        )
-        spread = 0.5  # degrees — well below one cell at coarse resolutions
-        lon = np.where(is_clustered, centers[cidx, 0] + (u - 0.5) * spread, lon)
-        lat = np.where(is_clustered, centers[cidx, 1] + (v - 0.5) * spread, lat)
-        t = t.append_column("x", pa.array(lon))
-        return t.append_column("y", pa.array(lat))
 
     return ds.map_batches(_geo, batch_format="pyarrow")

@@ -562,7 +562,9 @@ def funnel_stages(
     All set-minima — deterministic with no tie-break machinery. Output
     one row per user appearing in the events: (user, stage,
     t1_us..tK_us) with stage in 0..K and -1 sentinels for unreached
-    timestamps (int64 microseconds).
+    timestamps (int64 microseconds). A funnel-stage event before 1970
+    (negative timestamp) would collide with the sentinel and raises
+    ValueError.
 
     100 TB shape: ONE grouped_by_key(user) shuffle of the
     (user, ts, stage-code) projection (events of other types are
@@ -584,35 +586,33 @@ def funnel_stages(
 
         idx = pc.index_in(t.column(type_col), value_set=code_arr)
         keep = pc.is_valid(idx)
-        tt = t.filter(keep)
-        idx = pc.index_in(tt.column(type_col), value_set=code_arr)
+        ts = t.column(ts_col).filter(keep).cast(pa.int64()).to_numpy(
+            zero_copy_only=False)
+        if len(ts) and ts.min() < 0:
+            raise ValueError(
+                "funnel_stages: timestamps must be >= 0 (epoch "
+                "microseconds); -1 marks an unreached stage")
         return pa.table({
             "u": pa.array(
-                tt.column(user_col).to_numpy(zero_copy_only=False)
-                .astype(np.int64)),
-            "ts": pa.array(
-                tt.column(ts_col).cast(pa.int64()).to_numpy(
-                    zero_copy_only=False)),
+                t.column(user_col).filter(keep).to_numpy(
+                    zero_copy_only=False).astype(np.int64)),
+            "ts": pa.array(ts),
             "st": pa.array(
-                idx.to_numpy(zero_copy_only=False).astype(np.int64)),
+                idx.filter(keep).to_numpy(zero_copy_only=False)
+                .astype(np.int64)),
         })
+
+    def _users(t: pa.Table) -> pa.Table:
+        u = np.unique(
+            t.column(user_col).to_numpy(zero_copy_only=False).astype(np.int64)
+        )
+        none = np.full(len(u), -1, dtype=np.int64)
+        return pa.table({"u": pa.array(u), "ts": pa.array(none),
+                         "st": pa.array(none)})
 
     # every user present in the raw events gets an output row, even if
     # none of their events are funnel stages
-    users = events.map_batches(
-        lambda t: pa.table({
-            "u": pa.array(np.unique(
-                t.column(user_col).to_numpy(zero_copy_only=False)
-                .astype(np.int64))),
-            "ts": pa.array(np.full(
-                len(np.unique(t.column(user_col).to_numpy(
-                    zero_copy_only=False))), -1, dtype=np.int64)),
-            "st": pa.array(np.full(
-                len(np.unique(t.column(user_col).to_numpy(
-                    zero_copy_only=False))), -1, dtype=np.int64)),
-        }),
-        batch_format="pyarrow",
-    )
+    users = events.map_batches(_users, batch_format="pyarrow")
     stream = events.map_batches(_proj, batch_format="pyarrow").union(
         users
     )

@@ -344,6 +344,8 @@ def test_auto_num_buckets_grows_with_size(ray_session):
     assert auto_num_buckets(big, floor=4, target_bytes=1, cap=64) == 64
     lazy = big.map_batches(lambda t: t, batch_format="pyarrow")
     assert auto_num_buckets(lazy, floor=7) >= 7
+    # a lazy map chain is sized through its walkable input, not as 0
+    assert auto_num_buckets(lazy, floor=4, target_bytes=1 << 20) == nb_big
 
 
 def test_lag_categorical_tryself(w33):

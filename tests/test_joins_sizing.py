@@ -2,10 +2,14 @@
 routes small inputs to one coalesced task; unknown sizes must take the
 sharded scale path (never the other way round)."""
 
+from collections import Counter
+
 import numpy as np
 import pyarrow as pa
+import pytest
 import ray.data
 
+import libpysal_ray.core.joins as J
 from libpysal_ray.core.joins import (
     SMALL_COGROUP_BYTES,
     _chain_size_upper,
@@ -22,6 +26,31 @@ def _edges(n, seed=0):
         "neighbor": pa.array(rng.integers(0, 50, n)),
         "weight": pa.array(np.ones(n)),
     }))
+
+
+def _paths_agree(monkeypatch, build):
+    """Run ``build()`` on the coalesced path and again with every input
+    forced onto the sharded path; both must give the same row multiset.
+    The coalesced run must call no native groupby, the sharded run must."""
+    native = []
+    orig = ray.data.Dataset.groupby
+    monkeypatch.setattr(
+        ray.data.Dataset, "groupby",
+        lambda self, *a, **k: native.append(a) or orig(self, *a, **k),
+    )
+
+    def rows():
+        return Counter(
+            tuple(sorted(r.items())) for r in build().take_all()
+        )
+
+    small = rows()
+    assert not native
+    monkeypatch.setattr(J, "SMALL_COGROUP_BYTES", -1)
+    sharded = rows()
+    assert native
+    assert small == sharded
+    return small
 
 
 def test_chain_size_walk(ray_session):
@@ -61,7 +90,7 @@ def test_small_and_native_cogroup_agree(ray_session):
     assert (got["cb"].to_numpy() == want["size"].to_numpy()).all()
 
 
-def test_bucket_join_small_matches_sharded(ray_session):
+def test_bucket_join_small_matches_sharded(ray_session, monkeypatch):
     left = ray.data.from_arrow(pa.table({
         "k": pa.array(np.arange(2000) % 97),
         "lv": pa.array(np.arange(2000)),
@@ -71,6 +100,9 @@ def test_bucket_join_small_matches_sharded(ray_session):
         "rv": pa.array(np.arange(500) * 10),
     })).materialize()
     small = bucket_join(left, right, on="k").to_pandas()
+    # an explicit num_buckets does not bypass the switch; a negative
+    # threshold does
+    monkeypatch.setattr(J, "SMALL_COGROUP_BYTES", -1)
     sharded = bucket_join(left, right, on="k", num_buckets=16).to_pandas()
     key = ["k", "lv", "rv"]
     a = small.sort_values(key).reset_index(drop=True)
@@ -88,7 +120,7 @@ def test_grouped_sum_small_names_match_native(ray_session):
     assert np.allclose(a["sum(weight)"], b["sum(weight)"])
 
 
-def test_per_group_small_matches_native(ray_session):
+def test_per_group_small_matches_native(ray_session, monkeypatch):
     import pandas as pd
 
     from libpysal_ray.core.joins import per_group
@@ -110,6 +142,7 @@ def test_per_group_small_matches_native(ray_session):
     a = small.sort_values("focal").reset_index(drop=True)
     b = native.sort_values("focal").reset_index(drop=True)[a.columns]
     pd.testing.assert_frame_equal(a, b)
+    _paths_agree(monkeypatch, lambda: per_group(ds, ("focal",), fn))
 
 
 def test_topk_per_group_matches_pandas(ray_session):
@@ -273,3 +306,77 @@ def test_bucket_join_coalesced_left_empty_result_schema(ray_session):
     # task on empty blocks entirely, so schema() can be None here
     assert out.count() == 0
     assert out.take_all() == []
+
+
+@pytest.mark.parametrize("op", ["sum", "min", "max", "mean", "count", "xor"])
+def test_grouped_agg_paths_agree(ray_session, monkeypatch, op):
+    from libpysal_ray.core.joins import grouped_agg
+
+    rng = np.random.default_rng(6)
+    n = 3000
+    ds = ray.data.from_arrow(pa.table({
+        "k1": pa.array(rng.integers(0, 12, n)),
+        "k2": pa.array(rng.integers(0, 5, n)),
+        "v": pa.array(rng.integers(-1000, 1000, n)),
+    })).repartition(5).materialize()
+    col = None if op == "count" else "v"
+    got = _paths_agree(
+        monkeypatch, lambda: grouped_agg(ds, ("k1", "k2"), (col,), op)
+    )
+    assert sum(got.values()) == 60
+
+
+def test_grouped_by_key_paths_agree(ray_session, monkeypatch):
+    from libpysal_ray.core.joins import grouped_by_key
+
+    def fn(t: pa.Table) -> pa.Table:
+        # key-sorted multi-group kernel: per-key row count and value sum
+        k = t.column("k").to_numpy(zero_copy_only=False)
+        v = t.column("v").to_numpy(zero_copy_only=False)
+        starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
+        return pa.table({
+            "k": pa.array(k[starts], pa.int64()),
+            "n": pa.array(np.diff(starts, append=len(k)), pa.int64()),
+            "s": pa.array(np.add.reduceat(v, starts), pa.int64()),
+        })
+
+    rng = np.random.default_rng(8)
+    ds = ray.data.from_arrow(pa.table({
+        "k": pa.array(np.r_[np.full(500, 3), rng.integers(0, 40, 1500)]),
+        "v": pa.array(rng.integers(0, 100, 2000)),
+    })).repartition(4).materialize()
+    got = _paths_agree(monkeypatch, lambda: grouped_by_key(ds, ["k"], fn))
+    assert sum(dict(r)["n"] for r in got) == 2000
+
+
+def _kv(keys, col, vals):
+    return ray.data.from_arrow(pa.table({
+        "k": pa.array(np.asarray(keys, np.int64)),
+        col: pa.array(np.asarray(vals, np.int64)),
+    })).materialize()
+
+
+@pytest.mark.parametrize("case", ["hot", "empty_left", "empty_right"])
+@pytest.mark.parametrize("how", ["inner", "left", "semi", "anti"])
+def test_bucket_join_paths_agree(ray_session, monkeypatch, how, case):
+    rng = np.random.default_rng(9)
+    # key 7 is hot on both sides (60 x 40 fanout); keys >= 50 never match
+    lk = np.r_[np.full(60, 7), rng.integers(0, 80, 300)]
+    rk = np.r_[np.full(40, 7), rng.integers(0, 50, 200)]
+    if case == "empty_left":
+        lk = lk[:0]
+    if case == "empty_right":
+        rk = rk[:0]
+    left = _kv(lk, "lv", np.arange(len(lk)))
+    right = _kv(rk, "rv", np.arange(len(rk)) * 10)
+    got = _paths_agree(
+        monkeypatch, lambda: bucket_join(left, right, on="k", how=how)
+    )
+    match = np.isin(lk, rk)
+    want = {
+        "inner": sum(int((rk == k).sum()) for k in lk),
+        "left": sum(max(1, int((rk == k).sum())) for k in lk),
+        "semi": int(match.sum()),
+        "anti": int((~match).sum()),
+    }[how]
+    assert sum(got.values()) == want

@@ -210,3 +210,28 @@ def test_select_top_fraction_massive_boundary_tie(ray_session):
                 select_top_fraction(ds, "s", 0.5, max_boundary_ids=0)
                 .take_all()}
     assert got_all7 == {int(ids[i]) for i in range(n) if scores[i] == 7}
+
+
+@pytest.mark.parametrize("name", ["ktruss", "kcore"])
+def test_isolate_graph_queries_emit_no_schemaless_block(name):
+    # the distance-band graph under these queries carries isolate markers;
+    # a block left empty by dropping them must still reach every later
+    # fused map with its schema, or Ray logs a schema change
+    import logging
+
+    from libpysal_ray.pipelines.queries import QUERIES
+
+    warned = []
+
+    class _Warnings(logging.Handler):
+        def emit(self, record):
+            if "different schema" in record.getMessage():
+                warned.append(record.getMessage())
+
+    handler = _Warnings()
+    logging.getLogger("ray.data").addHandler(handler)
+    try:
+        assert QUERIES[name](SF).materialize().count() > 0
+    finally:
+        logging.getLogger("ray.data").removeHandler(handler)
+    assert not warned, warned

@@ -71,25 +71,6 @@ def test_merge_law_matches_union():
     assert abs(_estimate(merged, 10) - 7500) / 7500 < 0.12
 
 
-def test_bloom_no_false_negatives_and_fp_bounded(ray_session):
-    from libpysal_ray.core.sketch import bloom_semi
-
-    right = ray.data.from_arrow(pa.table({
-        "v": pa.array(np.arange(0, 5000, dtype=np.int64))}))
-    left_ids = np.arange(0, 50_000, dtype=np.int64)
-    left = ray.data.from_arrow(pa.table({
-        "v": pa.array(left_ids)})).repartition(4)
-    kept = np.array(sorted(
-        r["v"] for r in bloom_semi(left, right, "v").take_all()
-    ))
-    # every true member survives
-    assert np.isin(np.arange(5000), kept).all()
-    # false positives bounded: (1 - e^{-kn/m})^k with k=4, n=5000, m=2^18
-    fp = len(kept) - 5000
-    rate = fp / 45_000
-    assert rate < 0.01, rate
-
-
 def test_bloom_words_layout_invariant(ray_session):
     from libpysal_ray.core.sketch import bloom_words
 

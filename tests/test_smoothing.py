@@ -924,6 +924,24 @@ def test_funnel_stages_matches_brute(ray_session):
         assert (r["t1_us"], r["t2_us"], r["t3_us"]) == tuple(out), u
 
 
+def test_funnel_stages_rejects_pre_1970(ray_session):
+    # -1 is the "unreached" sentinel, so a negative timestamp must fail
+    # loudly instead of reading as a missing stage
+    from libpysal_ray.temporal.joins import funnel_stages
+
+    ev = ray.data.from_arrow(pa.table({
+        "user_id": pa.array([1, 1, 2], pa.int64()),
+        "ts": pa.array(np.array([-5, 10, 3], "datetime64[us]"),
+                       pa.timestamp("us")),
+        "event_type": pa.array(["view", "click", "view"]),
+    }))
+    with pytest.raises(Exception) as info:
+        funnel_stages(ev, stages=["view", "click"]).take_all()
+    # Ray re-raises a UDF's exception as a task error carrying its traceback
+    assert "ValueError: funnel_stages: timestamps must be >= 0" in str(
+        info.value)
+
+
 def test_retention_cohorts_matches_brute(ray_session):
     from libpysal_ray.temporal.joins import retention_cohorts
 
