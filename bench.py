@@ -121,10 +121,6 @@ def run_scaling_once(n_rows: int, num_cpus: int) -> float:
         out = flagship(
             pages=pages,
             narrow=narrow,
-            # task mode: the fused map chain (synth -> digest -> geocode ->
-            # cells -> salt -> PIP) runs as elastic map TASKS over every
-            # free CPU; a fixed actor pool would cap it at the pool size
-            pip_concurrency=None,
             rows_per_part=max(50_000, rows // 64),
             salt_sample_mod=64,
         )
@@ -200,7 +196,6 @@ def run_skew_once(n_rows: int, num_cpus: int, salted: bool) -> float:
         out = flagship(
             pages=pages,
             narrow=narrow,
-            pip_concurrency=None,
             rows_per_part=rpp,
             salt_sample_mod=64 if salted else 1,
             cell_remap=_hot_cell_remap,

@@ -7,8 +7,8 @@ pipelines. The one canonical relation is the Arrow edge table
 reference's own ``Graph`` serializes to Parquet
 (reference: graph/io/_parquet.py:27-36). Every builder is a
 ``flat_map``/``map_batches`` + shuffle pipeline; every transform is a
-groupby / join over the edge Dataset; stateful stages (STRtree-like PIP
-index, per-tile neighbor search) are actor pools.
+groupby / join over the edge Dataset; the PIP join's polygon index is
+built once per worker process inside ordinary map tasks.
 
 Nothing here calls ``ray.init()`` — the caller owns the Ray session.
 """

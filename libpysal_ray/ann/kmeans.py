@@ -38,6 +38,24 @@ def _batch_matrix(col, dim: int | None = None) -> np.ndarray:
     return flat.astype(np.float64).reshape(-1, d)
 
 
+def _smallest_ids(ds: ray.data.Dataset, k: int, id_col: str) -> list[dict]:
+    """The k rows with the smallest ids, in id order: each block keeps its
+    own k smallest (np.argpartition), and the driver merges the
+    k × #blocks candidates — no sort of the whole dataset."""
+
+    def _topk(t: pa.Table) -> pa.Table:
+        if t.num_rows <= k:
+            return t
+        ids = t.column(id_col).to_numpy(zero_copy_only=False)
+        return t.take(pa.array(np.argpartition(ids, k - 1)[:k]))
+
+    rows = ds.map_batches(_topk, batch_format="pyarrow",
+                          batch_size=None).take_all()
+    if len(rows) < k:
+        raise ValueError(f"k={k} exceeds dataset size {len(rows)}")
+    return sorted(rows, key=lambda r: r[id_col])[:k]
+
+
 def kmeans_train(
     embeddings: ray.data.Dataset,
     k: int = 8,
@@ -74,9 +92,7 @@ def kmeans_train(
         )
     ds = embeddings.select_columns([id_col, vec_col]).materialize()
 
-    init = ds.sort(id_col).limit(k).take_all()
-    if len(init) < k:
-        raise ValueError(f"k={k} exceeds dataset size {len(init)}")
+    init = _smallest_ids(ds, k, id_col)
     cents = np.array([r[vec_col] for r in init], dtype=np.float64)
     d = cents.shape[1]
 
@@ -139,9 +155,7 @@ def _kmeans_train_fixed(
     pass per iteration, centroids re-broadcast via ray.put."""
     ds = embeddings.select_columns([id_col, vec_col]).materialize()
 
-    init = ds.sort(id_col).limit(k).take_all()
-    if len(init) < k:
-        raise ValueError(f"k={k} exceeds dataset size {len(init)}")
+    init = _smallest_ids(ds, k, id_col)
     # floor(x·S): x is float32-exact, S a power-of-two-friendly int —
     # double multiply + floor is exact on both engine and SQL sides
     cents = np.floor(

@@ -1,23 +1,26 @@
 """Flagship pipeline — the north-rule spatial-join + tiling chain.
 
 pages (url, warc_ts, html, text, lang)
-  → project html away at ingest (wide binary never crosses a shuffle —
-    SURVEY §7.4.7)
+  → project to (doc_id, url, text) at ingest (wide binary never crosses a
+    shuffle — SURVEY §7.4.7)
   → vectorized 64-bit text digest per row (the byte-identity invariant,
     BASELINE.json:15; flat-utf8-buffer splitmix hash, no per-row Python)
   → deterministic geocode (doc_id hash → lon/lat)
   → quadcell assignment at ``res``
   → hot-cell salting (pre-aggregated counts → salt factors, broadcast)
-  → PIP join against the polygon layer (broadcast actor-pool STRtree-style
-    index; semantics graph/_contiguity.py:94-135)
+  → on a resume only: drop the rows of (cell, salt) partitions already done
+  → PIP join against the polygon layer (broadcast STRtree-style index,
+    memoized per worker, fused map tasks; semantics
+    graph/_contiguity.py:94-135)
   → ONE hash shuffle on (cell, salt) → per-partition: re-verify the text
     digest byte-for-byte, attach the polygon's neighbor set (from the
     queen-contiguity graph of the layer, broadcast as a small dict), write
     a checkpointed partition + lineage marker
   → result rows (url, cell, polygon_id, neighbor_set, digest_ok).
 
-Resumable: a re-run loads the manifest's done-set and each group skips
-itself if its partition is already durable.
+Resumable: a re-run loads the manifest's done-set once at plan build and
+filters those partitions' rows out right after salting, so finished
+partitions never reach the PIP join or the shuffle.
 """
 
 from __future__ import annotations
@@ -97,8 +100,6 @@ def flagship(
     res: int = 5,
     poly_n: int = 12,
     rows_per_part: int = 200_000,
-    pip_concurrency=(2, 8),
-    pip_num_cpus: float | None = None,
     narrow: ray.data.Dataset | None = None,
     salt_sample_mod: int = 1,
     cell_remap=None,
@@ -116,9 +117,9 @@ def flagship(
         assert sf_dir is not None
         pages = pages_from_documents(sf_dir)
 
-    # 1. project the wide binary away before anything else
-    if "html" in pages.schema().names:
-        pages = pages.drop_columns(["html"])
+    # 1. project to the columns the chain reads (drops the wide html
+    # binary) before anything else; a projection needs no schema fetch
+    pages = pages.select_columns(["doc_id", "url", "text"])
 
     # 2. ingest digest (byte-identity invariant start)
     ds = pages.map_batches(_digest_batch, batch_format="pyarrow")
@@ -163,6 +164,20 @@ def flagship(
     )
     ds = assign_salt(ds, factors, id_col="doc_id")
 
+    # 4b. resume: drop the rows of partitions that are already durable, so
+    # they skip the PIP join, the verify and the shuffle. The done-set is
+    # read once here; the write pass (empty done-set) adds no operator.
+    done = lineage.load_done(out_dir) if out_dir else set()
+    if done:
+        done_keys = np.sort(np.fromiter(map(int, done), np.int64, len(done)))
+
+        def _skip_done(t: pa.Table) -> pa.Table:
+            cs = t.column("cell_salted").to_numpy(zero_copy_only=False)
+            i = np.minimum(np.searchsorted(done_keys, cs), len(done_keys) - 1)
+            return t.filter(pa.array(done_keys[i] != cs))
+
+        ds = ds.map_batches(_skip_done, batch_format="pyarrow")
+
     # 5. polygon layer + its queen contiguity, broadcast as neighbor lists.
     # The layer IS the broadcast small side (a few hundred admin polygons),
     # so its contiguity is a driver-side vertex-hash — the distributed
@@ -179,14 +194,12 @@ def flagship(
         nbr_offsets[pid + 1] = len(flat)
     nbr_ref = ray.put((nbr_offsets, np.asarray(flat, dtype=np.int64)))
 
-    # 6. PIP join (broadcast actor pool; no shuffle)
+    # 6. PIP join (broadcast polygon layer, fused map tasks; no shuffle)
     joined = pip_join(
         ds,
         polys,
         res=res,
         id_col="doc_id",
-        concurrency=pip_concurrency,
-        num_cpus=pip_num_cpus,
         keep_unmatched=True,
         passthrough=("url", "text", "text_digest", "cell_salted"),
     )
@@ -214,8 +227,6 @@ def flagship(
 
     # 8. the one hash shuffle: (cell, salt) partitions; per-partition
     # neighbor-set attach + digest-XOR lineage + checkpointed write
-    done = lineage.load_done(out_dir) if out_dir else set()
-    done_ref = ray.put(done)
     import uuid as _uuid
 
     run_id = _uuid.uuid4().hex[:12]
@@ -224,8 +235,8 @@ def flagship(
     def _finalize_block(t: pa.Table) -> pa.Table:
         """One hash-shuffle partition = many complete (cell, salt) groups,
         sorted by cell_salted within the block. The neighbor-set attach is
-        vectorized over the WHOLE block; per-group work is only the done-set
-        skip, the digest-XOR lineage metric and the checkpoint write."""
+        vectorized over the WHOLE block; per-group work is only the
+        digest-XOR lineage metric and the checkpoint write."""
         n = t.num_rows
         if n == 0:
             return _empty_result()
@@ -235,24 +246,6 @@ def flagship(
         change[1:] = cs[1:] != cs[:-1]
         g_starts = np.flatnonzero(change)
         g_ends = np.append(g_starts[1:], n)
-
-        keep = np.ones(n, dtype=bool)
-        done = ray.get(done_ref) if out_dir_v else set()
-        if done:
-            for s, e in zip(g_starts, g_ends):
-                if str(int(cs[s])) in done:
-                    keep[s:e] = False
-        if not keep.all():
-            t = t.filter(pa.array(keep))
-            n = t.num_rows
-            if n == 0:
-                return _empty_result()
-            cs = t.column("cell_salted").to_numpy(zero_copy_only=False)
-            change = np.zeros(n, dtype=bool)
-            change[0] = True
-            change[1:] = cs[1:] != cs[:-1]
-            g_starts = np.flatnonzero(change)
-            g_ends = np.append(g_starts[1:], n)
 
         carried = t.column("text_digest").to_numpy(zero_copy_only=False)
         ok = t.column("digest_ok").to_numpy(zero_copy_only=False)

@@ -254,7 +254,7 @@ def q_pip_assign(sf_dir: str):
             "ys": pa.array(ys, pa.list_(pa.float64())),
         }
     )
-    out = pip_join(spts, polys, res=5, id_col="doc_id", concurrency=(1, 4))
+    out = pip_join(spts, polys, res=5, id_col="doc_id")
     return out.select_columns(["doc_id", "polygon_id"])
 
 

@@ -1,4 +1,4 @@
-"""Point-in-polygon join — stateful actor-pool stage.
+"""Point-in-polygon join — a broadcast map stage.
 
 Reference semantics: cg/standalone.py:380-433 ``get_polygon_point_intersect``
 (bbox prefilter + even-odd ray casting ``_point_in_vertices``
@@ -7,11 +7,11 @@ graph/_contiguity.py:94-135. No shapely in this environment, so the engine
 implements the same computational geometry directly in vectorized numpy.
 
 Ray-Data plan: the polygon layer (the SMALL side — admin boundaries, grid
-tiles) is ``ray.put`` ONCE; ``PIPJoiner`` is a callable CLASS passed to
-``map_batches(PIPJoiner, concurrency=N)`` — the cell-bucketed polygon index
-is built in ``__init__`` (once per actor, the actor-pool equivalent of the
-reference's in-process quadtree, cg/polygonQuadTreeStructure.py), and each
-``__call__`` does a vectorized candidate lookup + ray-cast per batch.
+tiles) is ``ray.put`` ONCE; the join runs as ordinary ``map_batches``
+tasks that fuse with the neighbouring maps. Each worker process builds the
+cell-bucketed polygon index (``PIPJoiner``, the equivalent of the
+reference's in-process quadtree, cg/polygonQuadTreeStructure.py) once and
+memoizes it; each batch does a vectorized candidate lookup + ray-cast.
 Points are never shuffled for this join — it's a broadcast join, the right
 plan when polygons ≪ points (SURVEY §2.4).
 """
@@ -71,7 +71,8 @@ _TASK_CACHE: dict = {}
 
 
 class PIPJoiner:
-    """Actor-pool batch fn: (id, x, y[, cell]) → (id, cell, polygon_id).
+    """Batch fn: (id, x, y[, cell]) → (id, cell, polygon_id), holding the
+    polygon index built once in ``__init__``.
 
     Points matching no polygon get polygon_id = -1 when keep_unmatched,
     else are dropped. Passthrough columns are preserved.
@@ -156,61 +157,33 @@ def pip_join(
     polygons_tbl: pa.Table,
     res: int = 8,
     id_col: str = "id",
-    concurrency: int | tuple = (2, 8),
-    batch_size: int = 32768,
     keep_unmatched: bool = False,
     passthrough: tuple = (),
-    num_cpus: float | None = None,
 ) -> ray.data.Dataset:
     """Broadcast PIP join: points × polygon layer → (id, cell, polygon_id).
 
-    ``num_cpus`` (fractional) lets a fixed pool of ``concurrency`` actors
-    coexist with task-based shuffle operators on a fixed-size cluster —
-    e.g. concurrency=N with num_cpus=0.75 keeps the actor share of the
-    cluster constant across cluster sizes.
-
-    ``concurrency=None`` → TASK mode: the stage runs as ordinary map tasks
-    that build (and memoize per worker process) the polygon index from the
-    broadcast ref. Tasks scale elastically over every free CPU — a fixed
-    actor pool caps the fused map chain at the pool size, which starves
-    the cluster when upstream maps are the heavy stages. The index build
-    is cheap (the polygon layer is the broadcast SMALL side), so the
-    worker-local rebuild-once cost is noise; keep the actor pool for
-    expensive state."""
+    The stage runs as ordinary map tasks that build (and memoize per
+    worker process) the polygon index from the broadcast ref. Tasks scale
+    elastically over every free CPU and fuse with the neighbouring maps;
+    the index build is cheap (the polygon layer is the broadcast SMALL
+    side), so the worker-local rebuild-once cost is noise."""
     ref = ray.put(polygons_tbl)
-    if concurrency is None:
-        joiner_kw = {
-            "id_col": id_col,
-            "keep_unmatched": keep_unmatched,
-            "passthrough": passthrough,
-        }
+    joiner_kw = {
+        "id_col": id_col,
+        "keep_unmatched": keep_unmatched,
+        "passthrough": passthrough,
+    }
 
-        def _pip_task(t: pa.Table) -> pa.Table:
-            key = ref.hex()
-            j = _TASK_CACHE.get(key)
-            if j is None:
-                j = PIPJoiner(ref, res, **joiner_kw)
-                _TASK_CACHE.clear()
-                _TASK_CACHE[key] = j
-            return j(t)
+    def _pip_task(t: pa.Table) -> pa.Table:
+        key = ref.hex()
+        j = _TASK_CACHE.get(key)
+        if j is None:
+            j = PIPJoiner(ref, res, **joiner_kw)
+            _TASK_CACHE.clear()
+            _TASK_CACHE[key] = j
+        return j(t)
 
-        # default batch size → the stage fuses with neighboring map_batches
-        # ops (a custom batch_size breaks operator fusion and adds a
-        # standalone operator's scheduling overhead)
-        return points.map_batches(_pip_task, batch_format="pyarrow")
-    kw = {}
-    if num_cpus is not None:
-        kw["num_cpus"] = num_cpus
-    return points.map_batches(
-        PIPJoiner,
-        fn_constructor_args=(ref, res),
-        fn_constructor_kwargs={
-            "id_col": id_col,
-            "keep_unmatched": keep_unmatched,
-            "passthrough": passthrough,
-        },
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        **kw,
-    )
+    # default batch size → the stage fuses with neighboring map_batches
+    # ops (a custom batch_size breaks operator fusion and adds a
+    # standalone operator's scheduling overhead)
+    return points.map_batches(_pip_task, batch_format="pyarrow")

@@ -9,8 +9,11 @@ scale a failed run must skip finished partitions (SURVEY §4). Design:
   aggregated per partition), and wall time;
 * both writes are atomic (tmp file + rename), so a marker implies a
   complete partition file;
-* resume = read the marker set (one listdir), broadcast it, and each group
-  task skips itself if its key is done. No driver-side data pass.
+* resume = read the marker set (one listdir) once at plan build; the
+  pipeline filters the rows of done keys out as soon as their key is known
+  (the flagship: right after salting, before the PIP join and the
+  shuffle), so finished partitions are never joined, shuffled or
+  rewritten. No driver-side data pass.
 """
 
 from __future__ import annotations

@@ -177,7 +177,7 @@ def test_pip_join_grid():
     )
     polys = grid_coverage(4, 5).take_all()
     ptbl = pa.Table.from_pylist(polys)
-    out = pip_join(pts, ptbl, res=8, concurrency=2).take_all()
+    out = pip_join(pts, ptbl, res=8).take_all()
     assert len(out) == 200
     got = {r["id"]: r["polygon_id"] for r in out}
     for i in range(200):

@@ -134,6 +134,122 @@ def test_flagship_partial_resume(tmp_path):
     assert len(m2) == len(m1)
 
 
+def _executed_dags(monkeypatch) -> list:
+    """Record the physical plan of every Dataset execution."""
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor,
+    )
+
+    dags = []
+    orig_execute = StreamingExecutor.execute
+
+    def _execute(self, dag, *a, **k):
+        dags.append(dag)
+        return orig_execute(self, dag, *a, **k)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", _execute)
+    return dags
+
+
+def _operators(dag) -> list:
+    ops, stack = [], [dag]
+    while stack:
+        op = stack.pop()
+        ops.append(op)
+        stack.extend(op.input_dependencies)
+    return ops
+
+
+def _stage_rows(ds) -> dict:
+    """Output rows per executed stage, from the Dataset's stats."""
+    rows, stack = {}, [ds._plan.stats()]
+    while stack:
+        st = stack.pop()
+        for name, blocks in st.metadata.items():
+            rows[name] = rows.get(name, 0) + sum(b.num_rows or 0
+                                                 for b in blocks)
+        stack.extend(st.parents or [])
+    return rows
+
+
+def test_flagship_runs_two_executions(monkeypatch):
+    """The salt-factor count and the main chain; the ingest projection
+    runs no schema fetch."""
+    dags = _executed_dags(monkeypatch)
+    assert len(flagship(SF).take_all()) > 0
+    assert len(dags) == 2
+
+
+def test_flagship_plan_has_no_actor_pool(monkeypatch):
+    """The PIP join runs as map tasks fused with the neighbouring maps."""
+    from ray.data._internal.execution.operators.actor_pool_map_operator \
+        import ActorPoolMapOperator
+
+    dags = _executed_dags(monkeypatch)
+    flagship(SF).take_all()
+    ops = [op for d in dags for op in _operators(d)]
+    assert any("_pip_task" in op.name for op in ops)
+    assert not [op.name for op in ops
+                if isinstance(op, ActorPoolMapOperator)]
+
+
+def test_flagship_full_resume_sorts_no_rows(tmp_path):
+    """A full resume drops every row before the PIP join: the map chain
+    feeding the shuffle emits nothing and the Sort sees no row."""
+    out_dir = str(tmp_path / "flagr")
+    flagship(SF, out_dir=out_dir).materialize()
+    r2 = flagship(SF, out_dir=out_dir).materialize()
+    assert r2.count() == 0
+    rows = _stage_rows(r2)
+    sort = {n: r for n, r in rows.items() if n.startswith("Sort")}
+    chain = [r for n, r in rows.items() if "_verify_drop" in n]
+    assert sort and chain, rows
+    assert sum(sort.values()) == 0 and sum(chain) == 0, rows
+    assert max(rows.values()) > 0  # the source still reads every page
+
+
+def test_flagship_partial_resume_salted(tmp_path):
+    """Hot cells are salted (rows_per_part=3); deleting the markers of a
+    salted key and of one other key re-emits exactly run 1's rows of those
+    two partitions, with the same digest-XOR and no double-write."""
+    import pyarrow.parquet as pq
+
+    out_dir = str(tmp_path / "flags")
+    mdir = lineage.manifest_dir(out_dir)
+    r1 = flagship(SF, out_dir=out_dir, rows_per_part=3).to_pandas()
+    m1 = {m["key"]: m for m in lineage.load_manifest(out_dir)}
+    assert sum(m["rows"] for m in m1.values()) == len(r1)
+    salted = sorted(k for k in m1 if int(k) % 4096 > 0)
+    assert salted, "no cell was salted"
+    victims = [salted[0], next(k for k in sorted(m1) if int(k) % 4096 == 0)]
+    want = pa.concat_tables([
+        pq.read_table(os.path.join(out_dir, f"part-{k}.parquet"))
+        for k in victims
+    ]).to_pandas()
+    for k in victims:
+        os.remove(os.path.join(mdir, f"{k}.json"))
+    sentinels = {f for f in os.listdir(mdir) if f.endswith(".sentinel")}
+
+    r2 = flagship(SF, out_dir=out_dir, rows_per_part=3).to_pandas()
+
+    def _rows(df):
+        return sorted(
+            (r.url, r.cell, r.polygon_id, tuple(r.neighbor_set), r.digest_ok)
+            for r in df.itertuples()
+        )
+
+    assert _rows(r2) == _rows(want)
+    assert set(_rows(r2)) <= set(_rows(r1))
+    m2 = {m["key"]: m for m in lineage.load_manifest(out_dir)}
+    assert set(m2) == set(m1)
+    for k in victims:
+        assert m2[k]["digest_xor"] == m1[k]["digest_xor"]
+        assert m2[k]["run_id"] != m1[k]["run_id"]
+    # run 2 wrote one sentinel per re-emitted key and nothing else
+    new = {f for f in os.listdir(mdir) if f.endswith(".sentinel")} - sentinels
+    assert sorted(f.split(".")[0] for f in new) == sorted(victims)
+
+
 def test_cross_containment_closed_form(ray_session):
     import pyarrow as pa
     import ray.data

@@ -4,11 +4,12 @@ Runs every queries() entry at the given sf and compares against its
 oracle_sql() via DuckDB: row count, sorted-column schema, and
 order-insensitive value comparison. Usage:
 
-    PYTHONPATH=/root/repo python tools/check_oracle.py [sf_dir] [name ...]
+    PYTHONPATH=. python tools/check_oracle.py [sf_dir] [name ...]
 """
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
@@ -17,7 +18,8 @@ import numpy as np
 import pandas as pd
 import ray
 
-sys.path.insert(0, "/root/repo")
+# the checkout this script lives in, ahead of any installed copy
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 TABLES = (
     "region nation customer supplier part orders lineitem events documents "

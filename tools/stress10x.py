@@ -11,7 +11,7 @@ counts, and the 10x/1x time ratio. A ratio near (or below) 10 on a
 fixed-CPU node means the operator's work scales linearly in rows with no
 superlinear shuffle/driver blowup; results are recorded in BASELINE.md.
 
-Usage: PYTHONPATH=/root/repo python tools/stress10x.py
+Usage: PYTHONPATH=. python tools/stress10x.py
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-sys.path.insert(0, "/root/repo")
+# the checkout this script lives in, ahead of any installed copy
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 SRC = "/root/testdata/sf0.1"
 DST = "/tmp/sf1x"
