@@ -744,9 +744,7 @@ def emb_clusters(
         {id_col: "focal"}
     )
     g = RayGraph(
-        E.resolve_isolates(
-            pairs.map_batches(_as_edges, batch_format="pyarrow"), ids
-        )
+        pairs.map_batches(_as_edges, batch_format="pyarrow"), ids=ids,
     )
     _n, labels = g.n_components(max_driver_edges=0)
     return labels.map_batches(
@@ -868,9 +866,9 @@ def dbscan_embeddings(
         ).select(["node"]).rename_columns(["focal"]),
         batch_format="pyarrow",
     )
-    cg = RayGraph(E.resolve_isolates(
-        tagged.map_batches(_corecore, batch_format="pyarrow"), core_ids
-    ))
+    cg = RayGraph(
+        tagged.map_batches(_corecore, batch_format="pyarrow"), ids=core_ids
+    )
     _n, labels = cg.n_components()
     corelab = labels.map_batches(
         lambda t: pa.table({

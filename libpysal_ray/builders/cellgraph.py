@@ -74,4 +74,4 @@ def cell_graph(
         return E.edge_table(f, n, w)
 
     edges = kept.map_batches(_weights, batch_format="pyarrow")
-    return RayGraph(E.resolve_isolates(edges, ids))
+    return RayGraph(edges, ids=ids)

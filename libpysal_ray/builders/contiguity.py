@@ -208,7 +208,7 @@ def queen(polygons: ray.data.Dataset) -> RayGraph:
     edges = E.dedup(
         pairs.map_batches(E.batch_dedup, batch_format="pyarrow")
     )
-    return RayGraph(E.resolve_isolates(edges, ids))
+    return RayGraph(edges, ids=ids)
 
 
 def rook(polygons: ray.data.Dataset) -> RayGraph:
@@ -225,7 +225,7 @@ def rook(polygons: ray.data.Dataset) -> RayGraph:
     edges = E.dedup(
         pairs.map_batches(E.batch_dedup, batch_format="pyarrow")
     )
-    return RayGraph(E.resolve_isolates(edges, ids))
+    return RayGraph(edges, ids=ids)
 
 
 def block(
@@ -295,7 +295,7 @@ def block(
         .groupby(["__rh", "__cell"])
         .map_groups(_cross, batch_format="pyarrow")
     )
-    return RayGraph(E.resolve_isolates(edges, ids))
+    return RayGraph(edges, ids=ids)
 
 
 def rook_perimeter(polygons: ray.data.Dataset) -> RayGraph:
@@ -360,7 +360,7 @@ def rook_perimeter(polygons: ray.data.Dataset) -> RayGraph:
     )
     # a pair may share several segments → their lengths SUM
     edges = E.dedup(pairs, keep="sum")
-    return RayGraph(E.resolve_isolates(edges, ids))
+    return RayGraph(edges, ids=ids)
 
 
 # ---------------------------------------------------------------- fuzzy
@@ -530,7 +530,7 @@ def fuzzy(
     edges = E.dedup(
         pairs.map_batches(E.batch_dedup, batch_format="pyarrow"), keep="max"
     )
-    return RayGraph(E.resolve_isolates(edges, ids))
+    return RayGraph(edges, ids=ids)
 
 
 def nonplanar_neighbors(
@@ -586,9 +586,7 @@ def nonplanar_neighbors(
     distance = tolerance * ext
 
     fz = fuzzy(polygons, tolerance=distance)
-    fz_real = fz.edges.map_batches(
-        E.drop_isolate_markers, batch_format="pyarrow"
-    ).materialize()
+    fz_real = fz._real_edges().materialize()
     by_focal = J.bucket_join(fz_real, islands, on="focal", how="semi")
     isl_nbr = islands.map_batches(
         lambda t: pa.table({"neighbor": t.column("focal")}),
@@ -596,13 +594,10 @@ def nonplanar_neighbors(
     ).materialize()
     by_nbr = J.bucket_join(fz_real, isl_nbr, on="neighbor", how="semi")
     new = E.dedup(by_focal.union(by_nbr), keep="max")
-    real_g = g.edges.map_batches(
-        E.drop_isolate_markers, batch_format="pyarrow"
-    )
-    merged = E.dedup(real_g.union(new), keep="max")
+    merged = E.dedup(g._real_edges().union(new), keep="max")
     from libpysal_ray.core.graph import ids_dataset
 
-    out = RayGraph(E.resolve_isolates(merged, ids_dataset(g.edges)))
+    out = RayGraph(merged, ids=ids_dataset(g.edges))
     out.non_planar_joins = new
     return out
 
@@ -841,9 +836,9 @@ def queen_strict(polygons: ray.data.Dataset, pairs=None) -> RayGraph:
     memoized ``strict_pairs(polygons)`` result as ``pairs`` to share the
     predicate pass with rook_strict."""
     edges, ids = pairs if pairs is not None else strict_pairs(polygons)
-    return RayGraph(E.resolve_isolates(
-        edges.map_batches(_binarize_edges, batch_format="pyarrow"), ids
-    ))
+    return RayGraph(
+        edges.map_batches(_binarize_edges, batch_format="pyarrow"), ids=ids
+    )
 
 
 def rook_strict(polygons: ray.data.Dataset, pairs=None) -> RayGraph:
@@ -856,9 +851,9 @@ def rook_strict(polygons: ray.data.Dataset, pairs=None) -> RayGraph:
         w = t.column("weight").to_numpy(zero_copy_only=False)
         return _binarize_edges(t.filter(pa.array(w >= 2.0)))
 
-    return RayGraph(E.resolve_isolates(
-        edges.map_batches(_overlap_only, batch_format="pyarrow"), ids
-    ))
+    return RayGraph(
+        edges.map_batches(_overlap_only, batch_format="pyarrow"), ids=ids
+    )
 
 
 def _binarize_edges(t: pa.Table) -> pa.Table:

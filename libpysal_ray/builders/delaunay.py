@@ -199,7 +199,7 @@ def delaunay(
     nbr = np.concatenate([ed[:, 1], ed[:, 0]])
     edges = E.from_arrays(ids[f], ids[nbr], 1.0)
     id_ds = points.select_columns([id_col]).rename_columns({id_col: "focal"})
-    return RayGraph(E.resolve_isolates(edges, id_ds))
+    return RayGraph(edges, ids=id_ds)
 
 
 def _delaunay_edge_indices(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -302,7 +302,7 @@ def voronoi(
     nbr = np.concatenate([ed[:, 1], ed[:, 0]])
     edges = E.from_arrays(ids[f], ids[nbr], 1.0)
     id_ds = points.select_columns([id_col]).rename_columns({id_col: "focal"})
-    return RayGraph(E.resolve_isolates(edges, id_ds))
+    return RayGraph(edges, ids=id_ds)
 
 
 def _dual_segments(tris: np.ndarray, x: np.ndarray, y: np.ndarray, n: int):
@@ -657,7 +657,7 @@ def delaunay_bounded(
     # by parallel per-tile compute here
     edges = tiled.groupby("tile").map_groups(_tile, batch_format="pyarrow")
     id_ds = points.select_columns([id_col]).rename_columns({id_col: "focal"})
-    return RayGraph(E.resolve_isolates(edges, id_ds))
+    return RayGraph(edges, ids=id_ds)
 
 
 def _interval_alive(
@@ -795,7 +795,7 @@ def delaunay_distributed(
         points, id_col, x_col, y_col, r0, max_escalated, prekill_blockers
     )
     edges = edges_xy.map_batches(_xy_strip, batch_format="pyarrow")
-    return RayGraph(E.resolve_isolates(edges, id_ds))
+    return RayGraph(edges, ids=id_ds)
 
 
 _XY_SCHEMA = pa.schema(
@@ -1317,7 +1317,7 @@ def voronoi_distributed(
         return E.edge_table(f[keep], nb[keep], 1.0)
 
     kept = J.grouped_by_key(edges_xy, ["focal"], _star)
-    return RayGraph(E.resolve_isolates(kept, id_ds))
+    return RayGraph(kept, ids=id_ds)
 
 
 def _verify_pairs_global(

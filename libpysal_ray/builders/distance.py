@@ -179,16 +179,29 @@ def distance_band(
 
     _pairs._size_expanding = True  # pair emission: output is NOT ~O(input)
     edges = J.per_group(tiled, ("tile",), _pairs)
-    return RayGraph(E.resolve_isolates(edges, ids))
+    return RayGraph(edges, ids=ids)
+
+
+def _count_bbox(points: ray.data.Dataset, x_col: str, y_col: str) -> tuple:
+    """(n, xmin, xmax, ymin, ymax) from one ``aggregate()`` — one Dataset
+    execution where separate count/min/max calls run five."""
+    from ray.data.aggregate import Count, Max, Min
+
+    r = points.aggregate(
+        Count(), Min(x_col), Max(x_col), Min(y_col), Max(y_col)
+    )
+    return (
+        r["count()"], r[f"min({x_col})"], r[f"max({x_col})"],
+        r[f"min({y_col})"], r[f"max({y_col})"],
+    )
 
 
 def _auto_cell_size(points: ray.data.Dataset, k: int,
                     x_col: str, y_col: str) -> float:
     """Heuristic tile size: aim for ~4(k+1) points per tile under a uniform
-    assumption. Driver sees only 5 scalars (bbox + count)."""
-    n = points.count()
-    xmin, xmax = points.min(x_col), points.max(x_col)
-    ymin, ymax = points.min(y_col), points.max(y_col)
+    assumption. Driver sees only 5 scalars (bbox + count), read in ONE
+    aggregate execution."""
+    n, xmin, xmax, ymin, ymax = _count_bbox(points, x_col, y_col)
     area = max(xmax - xmin, 1e-12) * max(ymax - ymin, 1e-12)
     target = 4.0 * (k + 1)
     cs = float(np.sqrt(area * target / max(n, 1)))
@@ -486,13 +499,8 @@ def knn(
         raise ValueError(coplanar)
 
     if coplanar == "jitter":
-        span = float(
-            max(
-                points.max(x_col) - points.min(x_col),
-                points.max(y_col) - points.min(y_col),
-                1.0,
-            )
-        )
+        _n, xmin, xmax, ymin, ymax = _count_bbox(points, x_col, y_col)
+        span = float(max(xmax - xmin, ymax - ymin, 1.0))
         eps = span * 1e-9
 
         def _jit(t: pa.Table) -> pa.Table:
@@ -598,9 +606,7 @@ def knn(
             )
             base = knn(reps_pts, k, id_col, x_col, y_col, cs,
                        coplanar="ignore")
-            real = base.edges.map_batches(
-                E.drop_isolate_markers, batch_format="pyarrow"
-            ).materialize()
+            real = base._real_edges().materialize()
             # each duplicate c inherits rep n's out-neighbors symmetrically
             inherit = J.bucket_join(
                 real.rename_columns({"focal": "__rep"}),
@@ -630,7 +636,7 @@ def knn(
             edges = real.union(
                 inherit.map_batches(_expand, batch_format="pyarrow")
             ).union(dup.map_batches(_site_links, batch_format="pyarrow"))
-            return RayGraph(E.resolve_isolates(edges, ids))
+            return RayGraph(edges, ids=ids)
 
     e = knn_edges_with_dist(points, k, id_col, x_col, y_col, cs)
 
@@ -642,7 +648,7 @@ def knn(
         )
 
     return RayGraph(
-        E.resolve_isolates(e.map_batches(_mk, batch_format="pyarrow"), ids)
+        e.map_batches(_mk, batch_format="pyarrow"), ids=ids,
     )
 
 
@@ -999,7 +1005,7 @@ def kernel(
         # (kernel support boundary / z > 1 for infinite-support kernels)
         edges = edges.filter(expr="weight != 0.0")
 
-    return RayGraph(E.resolve_isolates(edges, ids))
+    return RayGraph(edges, ids=ids)
 
 
 def min_threshold_distance(

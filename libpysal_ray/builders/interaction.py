@@ -102,7 +102,7 @@ def netw(
     else:
         raise ValueError(share)
     ids = lk.select_columns(["lid"]).rename_columns({"lid": "focal"})
-    return RayGraph(E.resolve_isolates(out, ids))
+    return RayGraph(out, ids=ids)
 
 
 def odw(
@@ -127,7 +127,7 @@ def odw(
     if transform:
         wo = wo.transform(transform)
         wd = wd.transform(transform)
-    dd = wd.edges.map_batches(E.drop_isolate_markers, batch_format="pyarrow")
+    dd = wd._real_edges()
     chunk_refs = []
     for b in dd.iter_batches(batch_size=262_144, batch_format="pyarrow"):
         if b.num_rows == 0:
@@ -165,11 +165,10 @@ def odw(
             return E.empty_edges()
         return pa.concat_tables(outs)
 
-    oo = wo.edges.map_batches(
-        E.drop_isolate_markers, batch_format="pyarrow"
-    )
     _cross._size_expanding = True  # Kronecker fanout |Ed| per row
-    edges = oo.map_batches(_cross, batch_format="pyarrow", batch_size=4096)
+    edges = wo._real_edges().map_batches(
+        _cross, batch_format="pyarrow", batch_size=4096
+    )
     # id universe: all (o, d) combinations of the two id sets.  Destination
     # ids come from ALL focal ids of wd.edges (isolate marker rows included)
     # so a d-side isolate still yields flow rows, symmetric with the o side.
@@ -192,7 +191,7 @@ def odw(
         )
 
     ids = ids_dataset(wo.edges).map_batches(_flow_ids, batch_format="pyarrow")
-    return RayGraph(E.resolve_isolates(edges, ids))
+    return RayGraph(edges, ids=ids)
 
 
 def vecw(
@@ -305,4 +304,4 @@ def vecw(
     _pairs._size_expanding = True  # pair emission
     edges = J.per_group(tiled, ("tile",), _pairs)
     ids = vectors.select_columns([id_col]).rename_columns({id_col: "focal"})
-    return RayGraph(E.resolve_isolates(edges, ids))
+    return RayGraph(edges, ids=ids)

@@ -52,6 +52,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from libpysal_ray.builders.distance import _count_bbox
 from libpysal_ray.core import edges as E
 from libpysal_ray.core import joins as J
 from libpysal_ray.core.graph import RayGraph
@@ -82,9 +83,8 @@ def snap_to_nodes(
     finished by a chunked-broadcast scan over the node Dataset.
     """
     if cs is None:
-        n = max(nodes.count(), 1)
-        xmin, xmax = nodes.min(x_col), nodes.max(x_col)
-        ymin, ymax = nodes.min(y_col), nodes.max(y_col)
+        n, xmin, xmax, ymin, ymax = _count_bbox(nodes, x_col, y_col)
+        n = max(n, 1)
         area = max(xmax - xmin, 1e-12) * max(ymax - ymin, 1e-12)
         cs = max(float(np.sqrt(area * 8.0 / n)), 1e-9)
     halo = cs
@@ -681,4 +681,4 @@ def build_travel_graph(
 
     edges_out = t2.map_batches(_finish, batch_format="pyarrow")
     ids = points.select_columns([id_col]).rename_columns({id_col: "focal"})
-    return RayGraph(E.resolve_isolates(edges_out, ids))
+    return RayGraph(edges_out, ids=ids)

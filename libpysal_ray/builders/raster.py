@@ -129,7 +129,7 @@ def raster_contiguity(
         return pa.table({"focal": pa.array(cid)})
 
     ids = cells.map_batches(_ids, batch_format="pyarrow")
-    return RayGraph(E.resolve_isolates(edges, ids))
+    return RayGraph(edges, ids=ids)
 
 
 def focal_mean(

@@ -177,7 +177,7 @@ def distance_band_arc(
 
     _pairs._size_expanding = True  # pair emission
     edges = J.per_group(tiled, ("tile",), _pairs)
-    return RayGraph(E.resolve_isolates(edges, ids))
+    return RayGraph(edges, ids=ids)
 
 
 def knn_arc_edges(
@@ -442,7 +442,7 @@ def knn_arc(
         )
 
     return RayGraph(
-        E.resolve_isolates(e.map_batches(_mk, batch_format="pyarrow"), ids)
+        e.map_batches(_mk, batch_format="pyarrow"), ids=ids,
     )
 
 

@@ -97,7 +97,7 @@ def _filtered_band(
     # by parallel per-tile compute here
     edges = tiled.groupby("tile").map_groups(_tile, batch_format="pyarrow")
     ids = points.select_columns([id_col]).rename_columns({id_col: "focal"})
-    return RayGraph(E.resolve_isolates(edges, ids))
+    return RayGraph(edges, ids=ids)
 
 
 def gabriel(points: ray.data.Dataset, max_edge: float, **kw) -> RayGraph:

@@ -7,7 +7,10 @@ which it serializes natively to Parquet, graph/io/_parquet.py:27-36).
 
 Invariants preserved here, matching the reference:
 * isolates (ids with no neighbors) appear as zero-weight self-loops
-  (reference graph/_utils.py:248-272 ``_resolve_islands``);
+  (reference graph/_utils.py:248-272 ``_resolve_islands``). ``RayGraph``
+  owns this invariant: it keeps a builder's real edges and its id
+  universe, and builds the markers (``with_isolates``) only when a
+  consumer first reads its full edge table;
 * canonical presentation order is (focal, neighbor) sorted — applied ONLY at
   the serialize/compare boundary (``canonical``), never mid-pipeline;
 * dedup keeps one row per directed (focal, neighbor) pair.
@@ -114,15 +117,14 @@ def canonical(edges: ray.data.Dataset) -> ray.data.Dataset:
     return edges.sort(["focal", "neighbor"])
 
 
-def resolve_isolates(
-    edges: ray.data.Dataset, ids: ray.data.Dataset | np.ndarray
+def with_isolates(
+    real: ray.data.Dataset, ids: ray.data.Dataset | np.ndarray
 ) -> ray.data.Dataset:
-    """Ensure every observation id appears, isolates as zero-weight self-loops.
-
-    Semantics of reference ``_resolve_islands`` (graph/_utils.py:248-272):
-    union the edge set with a marker row (i, i, 0.0) per id, then drop the
-    markers for ids that have real edges. One groupby(focal), no driver state.
-    """
+    """``real`` plus one zero-weight self-loop marker per id with no real
+    focal row — the second half of reference ``_resolve_islands``
+    (graph/_utils.py:248-272). ``real`` must be marker-free and
+    materialized; ``RayGraph`` calls this on the first full-table read.
+    ``ids`` may repeat ids and may be a lazy plan."""
     if isinstance(ids, np.ndarray):
         ids_ds = ray.data.from_arrow(
             pa.table({"focal": pa.array(ids.astype(np.int64))})
@@ -130,17 +132,10 @@ def resolve_isolates(
     else:
         ids_ds = ids
     # Physical plan (fully vectorized — no per-group Python):
-    # 1. normalize: drop any pre-existing marker rows per batch;
-    # 2. materialize the real edges (they feed both the output union and
-    #    the isolate detection — Ray does not share DAG branches, and the
-    #    upstream here is typically a whole builder pipeline);
-    # 3. isolates = ids with no real focal row, found by ONE native
-    #    sum-aggregate over a tagged union of (ids, real focals) — robust
-    #    to duplicate ids on either side;
-    # 4. output = real ∪ one (i, i, 0.0) marker per isolate.
-    real = compact(
-        edges.map_batches(drop_isolate_markers, batch_format="pyarrow")
-    )
+    # 1. isolates = ids with no real focal row, found by ONE sum-aggregate
+    #    over a tagged union of (ids, real focals) — robust to duplicate
+    #    ids on either side;
+    # 2. output = real ∪ one (i, i, 0.0) marker per isolate.
 
     def _tag_focal(side: int):
         def f(t: pa.Table) -> pa.Table:
@@ -168,10 +163,10 @@ def resolve_isolates(
             _tag_focal(0), batch_format="pyarrow"
         )
     )
-    # size-switched aggregate (joins.grouped_sum): real is materialized by
-    # compact() above and ids_ds is typically a map over materialized edge
-    # blocks, so small graphs prove their size and skip the native
-    # sort-aggregate's fixed stage cost; unknown/big sizes shuffle.
+    # size-switched aggregate (joins.grouped_sum): real is materialized and
+    # ids_ds is typically a map over materialized edge blocks, so small
+    # graphs prove their size and skip the native sort-aggregate's fixed
+    # stage cost; unknown/big sizes shuffle.
     from libpysal_ray.core.joins import grouped_sum
 
     iso = (
@@ -195,20 +190,15 @@ def resolve_isolates(
     # id universe) reuses the cached blocks with zero recompute. No
     # isolates means no union: the empty marker output carries no schema,
     # and Ray warns on every later execution that reads the union.
-    out = real if markers.count() == 0 else real.union(markers)
-    out._lpr_real_edges = real  # read by real_edges()
-    return out
+    return real if markers.count() == 0 else real.union(markers)
 
 
-def real_edges(edges: ray.data.Dataset) -> ray.data.Dataset:
-    """``edges`` without isolate markers. Output of ``resolve_isolates``
-    yields its kept real-edge Dataset; anything else is filtered. Keeping
-    the real edges matters beyond the saved map: the filter empties the
-    marker block, and an empty block reaches the next fused map without a
-    schema, so Ray logs a schema change on every execution that reads it."""
-    real = getattr(edges, "_lpr_real_edges", None)
-    if real is not None:
-        return real
+def without_markers(edges: ray.data.Dataset) -> ray.data.Dataset:
+    """``edges`` without isolate markers: one per-batch filter. Prefer a
+    graph's kept real edges (``RayGraph._real_edges``) where there are
+    any: this filter empties a marker block, and an empty block reaches
+    the next fused map without a schema, so Ray logs a schema change on
+    every execution that reads it."""
     return edges.map_batches(drop_isolate_markers, batch_format="pyarrow")
 
 

@@ -156,7 +156,7 @@ def _wl_equivalent(a: "RayGraph", b: "RayGraph", rounds: int = 6) -> bool:
         )
 
     def _init_colors(g: "RayGraph") -> ray.data.Dataset:
-        ids = ids_dataset(g._edges)
+        ids = ids_dataset(g.edges)
         real = g._real_edges().select_columns(["focal", "neighbor"])
         outd = J.grouped_agg(
             real.select_columns(["focal"]), ("focal",), (None,), "count"
@@ -306,6 +306,20 @@ class RayGraph:
     """Immutable spatial-weights graph; every op returns a new RayGraph.
 
     (Reference Graph is likewise immutable — graph/_set_ops.py:41-45.)
+
+    ``RayGraph(edges)`` takes a finished edge table as it is.
+    ``RayGraph(edges, ids=ids)`` takes a builder's output and owns the
+    isolate invariant: construction materializes the real edges (markers
+    dropped, one Dataset execution) and keeps ``ids`` (a numpy array or a
+    lazy Dataset with a ``focal`` column, repeats allowed) as a pending
+    plan. The first read of the full edge table (``edges``, ``n()``,
+    ``cardinalities()``, ``transform``, set ops, ``to_parquet``, …) builds
+    one zero-weight self-loop marker per id with no real edge and caches
+    the result on the graph; ``_real_edges()`` never builds them, so a
+    consumer of the real edges alone pays nothing for isolates (the
+    reference ``W`` likewise finds islands lazily, weights.py:808-814).
+    The pending plan reads the builder's inputs, so those inputs (files,
+    object-store blocks) must stay readable until that first read.
     """
 
     def __init__(
@@ -313,28 +327,34 @@ class RayGraph:
         edges: ray.data.Dataset,
         transformation: str = "O",
         original: ray.data.Dataset | None = None,
+        *,
+        ids: ray.data.Dataset | np.ndarray | None = None,
     ):
-        self._edges = edges
+        if ids is None:
+            self._full, self._real = edges, None
+        else:
+            self._full = None
+            self._real = E.compact(E.without_markers(edges))
+        self._ids = ids
         self.transformation = transformation
         # handle to the pre-transform edge Dataset so transform("O") can
         # restore originals (reference caches transformations["O"],
         # weights/weights.py:166-174,1074-1184). Datasets are immutable
         # lazy handles, so carrying one costs nothing; only transform()
         # threads it — derived graphs (set ops, subgraph, …) reset their
-        # original to their own edges, like fresh reference W objects.
-        self._original = edges if original is None else original
+        # original to their own edges, like fresh reference W objects
+        # (None: the graph's own edges, read through ``_original``).
+        self._orig = original
 
     # ------------------------------------------------------------------ io
     @classmethod
     def from_arrays(cls, focal, neighbor, weight=1.0, ids=None) -> "RayGraph":
         ds = E.from_arrays(focal, neighbor, weight)
         if ids is not None:
-            ds = E.resolve_isolates(ds, np.asarray(ids, dtype=np.int64))
-        else:
-            # id universe = focal ∪ neighbor (ids seen only as neighbors must
-            # still exist as observations — reference W keys every id)
-            ds = E.resolve_isolates(ds, all_ids_dataset(ds))
-        return cls(ds)
+            return cls(ds, ids=np.asarray(ids, dtype=np.int64))
+        # id universe = focal ∪ neighbor (ids seen only as neighbors must
+        # still exist as observations — reference W keys every id)
+        return cls(ds, ids=all_ids_dataset(ds))
 
     @classmethod
     def from_parquet(cls, path: str, **kwargs) -> "RayGraph":
@@ -351,15 +371,24 @@ class RayGraph:
     def to_parquet(self, path: str) -> None:
         """Canonical-order partitioned Parquet (the reference's own native
         Graph serialization is this exact table — graph/io/_parquet.py)."""
-        E.canonical(self._edges).write_parquet(path)
+        E.canonical(self.edges).write_parquet(path)
 
     # ------------------------------------------------------------ accessors
     @property
     def edges(self) -> ray.data.Dataset:
-        return self._edges
+        """The full edge table: real edges plus isolate markers, built
+        once on the first read of a graph constructed with ``ids``."""
+        if self._full is None:
+            self._full = E.with_isolates(self._real, self._ids)
+            self._ids = None
+        return self._full
+
+    @property
+    def _original(self) -> ray.data.Dataset:
+        return self.edges if self._orig is None else self._orig
 
     def canonical_edges(self) -> ray.data.Dataset:
-        return E.canonical(self._edges)
+        return E.canonical(self.edges)
 
     def to_pandas(self) -> pd.DataFrame:
         """Driver-side canonical adjacency frame — small graphs/tests only."""
@@ -381,10 +410,10 @@ class RayGraph:
 
     # ------------------------------------------------------------- scalars
     def n(self) -> int:
-        return ids_dataset(self._edges).count()
+        return ids_dataset(self.edges).count()
 
     def nonzero(self) -> int:
-        return self._edges.filter(
+        return self.edges.filter(
             expr="weight != 0.0 or focal != neighbor"
         ).count()
 
@@ -393,8 +422,12 @@ class RayGraph:
 
         Use before feeding the same graph to several downstream pipelines —
         Ray does not share common DAG branches, so an uncached graph would
-        recompute its builder once per consumer."""
-        self._edges = self._edges.materialize()
+        recompute its builder once per consumer. This materializes only
+        what is already resolved: it does not build pending isolate
+        markers (the real edges are materialized at construction, and the
+        markers are cached on the graph when first built)."""
+        if self._full is not None:
+            self._full = self._full.materialize()
         return self
 
     # ----------------------------------------------------------- transforms
@@ -403,7 +436,7 @@ class RayGraph:
         graph/base.py:1827-1902). Callable → per-row-group transform ('C')."""
         if isinstance(code, str):
             code = code.upper()
-        ds = self._edges
+        ds = self.edges
 
         if code == "O":
             # restore the original (pre-transform) weights
@@ -593,12 +626,12 @@ class RayGraph:
         Dataset (focal, lag)."""
         if isinstance(attr_ids, ray.data.Dataset):
             withy = _attach_attr(
-                self._edges, attr_ids, key_col="neighbor", out_col="__y",
+                self.edges, attr_ids, key_col="neighbor", out_col="__y",
                 default=0.0, id_col=id_col, val_col=val_col,
             )
         elif broadcast:
             withy = J.broadcast_lookup(
-                self._edges,
+                self.edges,
                 np.asarray(attr_ids, dtype=np.int64),
                 np.asarray(attr_values, dtype=np.float64),
                 key_col="neighbor",
@@ -614,7 +647,7 @@ class RayGraph:
                     }
                 )
             )
-            withy = J.bucket_join(self._edges, attrs, on="neighbor")
+            withy = J.bucket_join(self.edges, attrs, on="neighbor")
 
         def _wy(t: pa.Table) -> pa.Table:
             w = t.column("weight").to_numpy(zero_copy_only=False)
@@ -654,7 +687,7 @@ class RayGraph:
         all lack codes emit -1.
         Returns Dataset (focal, lag_code)."""
         withc = _attach_attr(
-            self._edges, attr_ids, attr_codes, key_col="neighbor",
+            self.edges, attr_ids, attr_codes, key_col="neighbor",
             out_col="__c", default=np.nan, id_col=id_col, val_col=val_col,
         )
         if ties == "tryself":
@@ -782,7 +815,12 @@ class RayGraph:
 
     # ------------------------------------------------------ graph algebra
     def _real_edges(self) -> ray.data.Dataset:
-        return E.real_edges(self._edges)
+        """The edges without isolate markers; never builds the markers.
+        A graph constructed with ``ids`` returns its materialized real
+        edges, any other graph filters its table."""
+        if self._real is not None:
+            return self._real
+        return E.without_markers(self._full)  # only ids= defers _full
 
     def higher_order(
         self,
@@ -796,7 +834,7 @@ class RayGraph:
         graph/base.py:2274-2355). Binary matrix powers re-expressed as k−1
         distributed hash self-joins with per-batch dedup before each shuffle.
         """
-        ids = ids_dataset(self._edges).materialize()
+        ids = ids_dataset(self.edges).materialize()
         adj = E.dedup(
             self._real_edges().map_batches(
                 lambda t: _binarize(t), batch_format="pyarrow"
@@ -862,7 +900,7 @@ class RayGraph:
             out = orders[-1]
         if not diagonal:
             out = out.filter(expr="focal != neighbor")
-        return RayGraph(E.resolve_isolates(out, ids))
+        return RayGraph(out, ids=ids)
 
     def symmetrize(self, method: str = "union", reduction: str = "max") -> "RayGraph":
         """make_symmetric (weights.py:1254-1274 / graph/base.py:2187-2272).
@@ -870,7 +908,7 @@ class RayGraph:
         union: W ∨ Wᵀ; intersection: keep only mutual links. ``reduction``
         resolves conflicting weights (max/min/sum/mean).
         """
-        ids = ids_dataset(self._edges)
+        ids = ids_dataset(self.edges)
         real = self._real_edges().materialize()
         if method == "union":
             out = E.dedup(real.union(E.reverse(real)), keep=reduction)
@@ -902,7 +940,7 @@ class RayGraph:
             out = cg.map_batches(_reduce, batch_format="pyarrow")
         else:
             raise ValueError(method)
-        return RayGraph(E.resolve_isolates(out, ids))
+        return RayGraph(out, ids=ids)
 
     def asymmetries(self) -> ray.data.Dataset:
         """Directed pairs where w_ij != w_ji (weights.py:1186-1252).
@@ -944,14 +982,14 @@ class RayGraph:
         )
         # id universe per reference defaults: union/sym-diff → union of ids;
         # intersection/difference → ids of self (set_operations.py defaults).
-        # resolve_isolates dedups ids internally, so raw focal columns do.
+        # with_isolates dedups ids internally, so raw focal columns do.
         if mode in ("union", "symmetric_difference"):
-            ids = self._edges.select_columns(["focal"]).union(
-                other._edges.select_columns(["focal"])
+            ids = self.edges.select_columns(["focal"]).union(
+                other.edges.select_columns(["focal"])
             )
         else:
-            ids = self._edges.select_columns(["focal"])
-        return RayGraph(E.resolve_isolates(out, ids))
+            ids = self.edges.select_columns(["focal"])
+        return RayGraph(out, ids=ids)
 
     def union_g(self, other: "RayGraph") -> "RayGraph":
         return self._setop(other, "union")
@@ -1099,7 +1137,7 @@ class RayGraph:
         driver-side, small-layer: the 100 TB graph IS the edge Dataset)."""
         ids = np.sort(
             np.array(
-                [r["focal"] for r in ids_dataset(self._edges).take_all()],
+                [r["focal"] for r in ids_dataset(self.edges).take_all()],
                 dtype=np.int64,
             )
         )
@@ -1510,7 +1548,7 @@ class RayGraph:
                 "label": pa.array(lab_vals),
             }))
 
-        if int(self.cardinalities().max("cardinality") or 0) >= (1 << 31):
+        if self.max_degree() >= (1 << 31):
             raise ValueError("label_propagation: degree >= 2^31")
         edges = (
             self._real_edges()
@@ -1520,7 +1558,7 @@ class RayGraph:
             )
             .materialize()
         )
-        nodes = ids_dataset(self._edges).map_batches(
+        nodes = ids_dataset(self.edges).map_batches(
             lambda t: pa.table({"node": t.column("focal")}),
             batch_format="pyarrow",
         ).materialize()
@@ -1665,7 +1703,7 @@ class RayGraph:
             ray.data.aggregate.Sum("hop"),
             ray.data.aggregate.Sum("harm"),
         )
-        uni = ids_dataset(self._edges).map_batches(
+        uni = ids_dataset(self.edges).map_batches(
             lambda t: pa.table({"node": t.column("focal")}),
             batch_format="pyarrow",
         )
@@ -1770,7 +1808,7 @@ class RayGraph:
                 "auth": pa.array(a),
             }))
 
-        nodes = ids_dataset(self._edges).map_batches(
+        nodes = ids_dataset(self.edges).map_batches(
             lambda t: pa.table({"node": t.column("focal")}),
             batch_format="pyarrow",
         ).materialize()
@@ -1926,7 +1964,7 @@ class RayGraph:
         # label universe = focal ∪ neighbor: on a non-isolate-resolved
         # edge table a node seen only as neighbor must still get a label
         # (the sides attach via INNER joins)
-        labels = all_ids_dataset(self._edges).map_batches(
+        labels = all_ids_dataset(self.edges).map_batches(
             lambda t: pa.table({
                 "node": t.column("focal"),
                 "comp": t.column("focal"),
@@ -2089,8 +2127,8 @@ class RayGraph:
         the unweighted edge sets plus an id-universe check — both ways
         as anti-join emptiness probes on the id Datasets (no driver id
         sets: driver sees at most ONE row per probe)."""
-        a = ids_dataset(self._edges).materialize()
-        b = ids_dataset(other._edges).materialize()
+        a = ids_dataset(self.edges).materialize()
+        b = ids_dataset(other.edges).materialize()
         for left, right in ((a, b), (b, a)):
             extra = J.bucket_join(left, right, on="focal", how="anti")
             if extra.limit(1).count() != 0:
@@ -2105,7 +2143,7 @@ class RayGraph:
         out = J.pair_semi(
             self._real_edges(), keep.select_columns(["focal", "neighbor"])
         )
-        return RayGraph(E.resolve_isolates(out, ids_dataset(self._edges)))
+        return RayGraph(out, ids=ids_dataset(self.edges))
 
     def subgraph(self, keep_ids) -> "RayGraph":
         """w_subset / Graph.subgraph (set_operations.py:337-386,
@@ -2123,10 +2161,10 @@ class RayGraph:
                 batch_format="pyarrow",
             )
             out = J.bucket_join(out, nbr_keys, on="neighbor", how="semi")
-            return RayGraph(E.resolve_isolates(out, ids_ds))
+            return RayGraph(out, ids=ids_ds)
         keep = np.asarray(keep_ids, dtype=np.int64)
         out = E.filter_ids(self._real_edges(), keep, mode="both")
-        return RayGraph(E.resolve_isolates(out, keep))
+        return RayGraph(out, ids=keep)
 
     def remap_ids(self, old_ids: np.ndarray, new_ids: np.ndarray) -> "RayGraph":
         """Relabel all ids through a bijection (weights.py:868-925,
@@ -2151,7 +2189,7 @@ class RayGraph:
             return pa.table(out)
 
         return RayGraph(
-            self._edges.map_batches(_remap, batch_format="pyarrow"),
+            self.edges.map_batches(_remap, batch_format="pyarrow"),
             self.transformation,
         )
 
@@ -2188,7 +2226,7 @@ class RayGraph:
         new_edges = knn1.map_batches(_keep_iso, batch_format="pyarrow")
         out = E.dedup(self._real_edges().union(new_edges), keep="max")
         return RayGraph(
-            E.resolve_isolates(out, self._edges.select_columns(["focal"]))
+            out, ids=self.edges.select_columns(["focal"]),
         )
 
     def fill_diagonal(
@@ -2200,8 +2238,8 @@ class RayGraph:
         Dataset with (id_col, val_col) — per-observation diagonal values,
         the reference's array variant (util.py:830-892 accepts a vector
         aligned to id_order)."""
-        ids = ids_dataset(self._edges)
-        no_diag = self._edges.filter(expr="focal != neighbor")
+        ids = ids_dataset(self.edges)
+        no_diag = self.edges.filter(expr="focal != neighbor")
         if isinstance(value, (int, float)):
             diag = ids.map_batches(
                 lambda t: pa.Table.from_arrays(
@@ -2245,9 +2283,9 @@ class RayGraph:
     def eliminate_zeros(self) -> "RayGraph":
         """Drop zero-weight edges that are not isolate markers
         (base.py:2772-2793)."""
-        nz = self._edges.filter(expr="weight != 0.0")
+        nz = self.edges.filter(expr="weight != 0.0")
         return RayGraph(
-            E.resolve_isolates(nz, self._edges.select_columns(["focal"]))
+            nz, ids=self.edges.select_columns(["focal"]),
         )
 
     # --------------------------------------------------------- descriptive
@@ -2266,11 +2304,30 @@ class RayGraph:
             )
 
         return (
-            self._edges.map_batches(_flag, batch_format="pyarrow")
+            self.edges.map_batches(_flag, batch_format="pyarrow")
             .groupby("focal")
             .sum("__real")
             .rename_columns({"sum(__real)": "cardinality"})
         )
+
+    def max_degree(self) -> int:
+        """Largest real-edge count of any focal, 0 with no real edges —
+        ``cardinalities()``'s max, since isolates count 0, read from the
+        real edges alone: a per-block ``np.unique`` combiner into
+        ``grouped_sum``, then one max. Builds no isolate markers."""
+
+        def _count(t: pa.Table) -> pa.Table:
+            f, c = np.unique(
+                t.column("focal").to_numpy(zero_copy_only=False),
+                return_counts=True,
+            )
+            return pa.table({"focal": f.astype(np.int64),
+                             "cnt": c.astype(np.int64)})
+
+        real = self._real_edges()
+        partial = real.map_batches(_count, batch_format="pyarrow")
+        deg = J.grouped_sum(partial, ("focal",), ("cnt",), real)
+        return int(deg.max("sum(cnt)") or 0)
 
     def isolates(self) -> ray.data.Dataset:
         return (
@@ -2712,7 +2769,7 @@ class RayGraph:
         (or ``force_distributed=True``) run the distributed frontier
         expansion: one bucket_join + one pair_anti cogroup per round —
         the same machinery higher_order keeps oracle-proven."""
-        ids = ids_dataset(self._edges).materialize()
+        ids = ids_dataset(self.edges).materialize()
         adj = E.dedup(
             self._real_edges().map_batches(_binarize, batch_format="pyarrow")
         ).materialize()
@@ -2809,7 +2866,7 @@ class RayGraph:
         Reference semantics: scipy connected_components on CSR,
         weights.py:549-569.
         """
-        n_edges = self._edges.count()
+        n_edges = self.edges.count()
         if n_edges > max_driver_edges:
             return self._components_distributed()
         parent: dict[int, int] = {}
@@ -2823,7 +2880,7 @@ class RayGraph:
             return r
 
         cnt = 0
-        for batch in self._edges.iter_batches(batch_format="pyarrow"):
+        for batch in self.edges.iter_batches(batch_format="pyarrow"):
             cnt += batch.num_rows
             f = batch.column("focal").to_numpy(zero_copy_only=False)
             n = batch.column("neighbor").to_numpy(zero_copy_only=False)
@@ -2994,7 +3051,7 @@ class RayGraph:
             ).materialize()
 
         # nodes with no real edges (isolates) label themselves
-        all_ids = ids_dataset(self._edges)
+        all_ids = ids_dataset(self.edges)
         if labels is None:
             labels = all_ids.map_batches(
                 lambda t: pa.table(

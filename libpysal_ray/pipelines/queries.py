@@ -27,7 +27,6 @@ from libpysal_ray.builders.cellgraph import cell_graph
 from libpysal_ray.builders.contiguity import block, queen, rook
 from libpysal_ray.builders.distance import distance_band, kernel, knn_edges_with_dist
 from libpysal_ray.builders.raster import raster_contiguity
-from libpysal_ray.core.edges import drop_isolate_markers
 from libpysal_ray.spatial.geocode import geocode_ids
 from libpysal_ray.spatial.pip import pip_join
 from libpysal_ray.text.analysis import lang_id, quality_score, token_stats
@@ -131,7 +130,7 @@ def _points_jittered(sf_dir: str) -> ray.data.Dataset:
 
 
 def _real(g) -> ray.data.Dataset:
-    return g.edges.map_batches(drop_isolate_markers, batch_format="pyarrow")
+    return g._real_edges()
 
 
 def _lattice_polys(sf_dir: str) -> ray.data.Dataset:

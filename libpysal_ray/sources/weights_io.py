@@ -46,7 +46,7 @@ def read_gal(path: str) -> RayGraph:
     ds = E.from_arrays(
         np.asarray(focal, np.int64), np.asarray(neighbor, np.int64), 1.0
     )
-    return RayGraph(E.resolve_isolates(ds, np.asarray(ids, np.int64)))
+    return RayGraph(ds, ids=np.asarray(ids, np.int64))
 
 
 def write_gal(g: RayGraph, path: str) -> None:
@@ -124,12 +124,12 @@ def read_mtx(path: str) -> RayGraph:
         np.asarray(neighbor, np.int64),
         np.asarray(weight, np.float64),
     )
-    return RayGraph(E.resolve_isolates(ds, np.arange(n, dtype=np.int64)))
+    return RayGraph(ds, ids=np.arange(n, dtype=np.int64))
 
 
 def write_mtx(g: RayGraph, path: str) -> None:
     n = g.n()
-    real = g.edges.map_batches(E.drop_isolate_markers, batch_format="pyarrow")
+    real = g._real_edges()
     nnz = real.count()
     with open(path, "w") as out:
         out.write("%%MatrixMarket matrix coordinate real general\n")
@@ -170,9 +170,9 @@ def read_arcgis_text(path: str) -> RayGraph:
 def write_arcgis_text(g: RayGraph, path: str, id_var: str = "ID") -> None:
     with open(path, "w") as out:
         out.write(f"{id_var}\n")
-        for batch in E.canonical(
-            g.edges.map_batches(E.drop_isolate_markers, batch_format="pyarrow")
-        ).iter_batches(batch_format="pyarrow"):
+        for batch in E.canonical(g._real_edges()).iter_batches(
+            batch_format="pyarrow"
+        ):
             f = batch.column("focal").to_numpy(zero_copy_only=False)
             nb = batch.column("neighbor").to_numpy(zero_copy_only=False)
             w = batch.column("weight").to_numpy(zero_copy_only=False)
@@ -202,9 +202,9 @@ def read_dat(path: str) -> RayGraph:
 
 def write_dat(g: RayGraph, path: str) -> None:
     with open(path, "w") as out:
-        for batch in E.canonical(
-            g.edges.map_batches(E.drop_isolate_markers, batch_format="pyarrow")
-        ).iter_batches(batch_format="pyarrow"):
+        for batch in E.canonical(g._real_edges()).iter_batches(
+            batch_format="pyarrow"
+        ):
             f = batch.column("focal").to_numpy(zero_copy_only=False)
             nb = batch.column("neighbor").to_numpy(zero_copy_only=False)
             w = batch.column("weight").to_numpy(zero_copy_only=False)
@@ -238,9 +238,9 @@ def read_csv_weights(path: str, header: bool = True) -> RayGraph:
 def write_csv_weights(g: RayGraph, path: str) -> None:
     with open(path, "w") as out:
         out.write("focal,neighbor,weight\n")
-        for batch in E.canonical(
-            g.edges.map_batches(E.drop_isolate_markers, batch_format="pyarrow")
-        ).iter_batches(batch_format="pyarrow"):
+        for batch in E.canonical(g._real_edges()).iter_batches(
+            batch_format="pyarrow"
+        ):
             f = batch.column("focal").to_numpy(zero_copy_only=False)
             nb = batch.column("neighbor").to_numpy(zero_copy_only=False)
             w = batch.column("weight").to_numpy(zero_copy_only=False)
@@ -331,7 +331,7 @@ def read_swm(path: str) -> RayGraph:
         np.asarray(neighbor, np.int64),
         np.asarray(weight, np.float64),
     )
-    return RayGraph(E.resolve_isolates(ds, np.asarray(all_ids, np.int64)))
+    return RayGraph(ds, ids=np.asarray(all_ids, np.int64))
 
 
 def write_swm(
@@ -425,7 +425,7 @@ def read_stata_text(path: str) -> RayGraph:
         np.asarray(neighbor, np.int64),
         np.asarray(weight, np.float64),
     )
-    return RayGraph(E.resolve_isolates(ds, np.asarray(id_order, np.int64)))
+    return RayGraph(ds, ids=np.asarray(id_order, np.int64))
 
 
 def write_stata_text(g: RayGraph, path: str, matrix_form: bool = False) -> None:
@@ -485,7 +485,7 @@ def read_geobugs(path: str) -> RayGraph:
         np.asarray(weight, np.float64),
     )
     ids = np.arange(1, len(card) + 1, dtype=np.int64)
-    return RayGraph(E.resolve_isolates(ds, ids))
+    return RayGraph(ds, ids=ids)
 
 
 def write_geobugs(g: RayGraph, path: str,
@@ -545,7 +545,7 @@ def read_mat(path: str) -> RayGraph:
         m[focal, neighbor].astype(np.float64),
     )
     return RayGraph(
-        E.resolve_isolates(ds, np.arange(mrows, dtype=np.int64))
+        ds, ids=np.arange(mrows, dtype=np.int64),
     )
 
 
@@ -616,7 +616,7 @@ def read_wk1(path: str) -> RayGraph:
         np.asarray(weight, np.float64),
     )
     ids = np.arange(max(n, (max(focal) + 1) if focal else 0), dtype=np.int64)
-    return RayGraph(E.resolve_isolates(ds, ids))
+    return RayGraph(ds, ids=ids)
 
 
 def write_wk1(g: RayGraph, path: str) -> None:

@@ -78,7 +78,7 @@ def spatial_rate(
         ray.data.aggregate.Max("e"), ray.data.aggregate.Max("b")
     )
     vmax = max(int(agg["max(e)"] or 0), int(agg["max(b)"] or 0))
-    max_deg = int(g.cardinalities().max("cardinality") or 0)
+    max_deg = g.max_degree()
     if vmax * (max_deg + 1) >= (1 << 62):
         raise ValueError(
             "spatial_rate catchment sums would overflow int64; rescale"

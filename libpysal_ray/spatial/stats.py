@@ -371,7 +371,7 @@ def local_moran(
     sx = int(agg["sum(x)"])
     xmax = max(abs(int(agg["max(x)"])), abs(int(agg["min(x)"])))
     z_max = n * xmax + abs(sx)
-    max_deg = int(g.cardinalities().max("cardinality") or 0)
+    max_deg = g.max_degree()
     # per-row numerator bound n·|z|·|lag| <= n·z_max·(max_deg·z_max),
     # plus the den sum bound — both checked in unbounded ints
     wide = force_wide or (
@@ -560,7 +560,7 @@ def getis_ord_g(
     )
     n_obs = int(pre["count()"])
     xmax = int(pre["max(x)"] or 0)
-    max_deg = int(g.cardinalities().max("cardinality") or 0)
+    max_deg = g.max_degree()
     if xmax * max(max_deg + 1, n_obs, 1) >= (1 << 62):
         raise ValueError("getis_ord_g sums would overflow int64; rescale x")
     total = int(xs.sum("x") or 0)
@@ -742,7 +742,7 @@ def lisa_quadrants(
     sx = int(agg["sum(x)"])
     xmax = max(abs(int(agg["max(x)"])), abs(int(agg["min(x)"])))
     z_max = n * xmax + abs(sx)
-    max_deg = int(g.cardinalities().max("cardinality") or 0)
+    max_deg = g.max_degree()
     if z_max * max(max_deg, 1) >= (1 << 62):
         raise ValueError(
             "lisa_quadrants lag sums would overflow int64; rescale x"
@@ -1065,13 +1065,11 @@ def skater_regions(
         )
 
     forest = RayGraph(
-        E.resolve_isolates(
-            kept.map_batches(_sym, batch_format="pyarrow"),
-            ax.map_batches(
-                lambda t: pa.table({"focal": t.column("node")}),
-                batch_format="pyarrow",
-            ),
-        )
+        kept.map_batches(_sym, batch_format="pyarrow"),
+        ids=ax.map_batches(
+            lambda t: pa.table({"focal": t.column("node")}),
+            batch_format="pyarrow",
+        ),
     )
     _n, labels = forest.n_components()
     return labels.map_batches(
@@ -1741,7 +1739,7 @@ def local_geary(
     sx = int(agg["sum(x)"])
     xmax = max(abs(int(agg["max(x)"])), abs(int(agg["min(x)"])))
     z_max = n * xmax + abs(sx)
-    max_deg = int(g.cardinalities().max("cardinality") or 0)
+    max_deg = g.max_degree()
     # per-focal sums of (zf-zn)^2 AND the n-scaled numerators must fit
     # int64 (the c_i finalize is one vectorized int64->float64 cast)
     if (2 * z_max) ** 2 * max(max_deg, 1) * n >= (1 << 62):
@@ -2234,7 +2232,7 @@ def local_moran_bv(
     ymax = max(abs(int(agg["max(y)"])), abs(int(agg["min(y)"])))
     zx_max = n * xmax + abs(sx)
     zy_max = n * ymax + abs(sy)
-    max_deg = int(g.cardinalities().max("cardinality") or 0)
+    max_deg = g.max_degree()
     if (n * zx_max * max(max_deg, 1) * zy_max >= (1 << 62)
             or zy_max * max(max_deg, 1) >= (1 << 62)):
         raise ValueError(
@@ -2342,7 +2340,7 @@ def spatial_markov(
         ray.data.aggregate.Max("x0"), ray.data.aggregate.Min("x0")
     )
     xmax = max(abs(int(agg["max(x0)"] or 0)), abs(int(agg["min(x0)"] or 0)))
-    max_deg = int(g.cardinalities().max("cardinality") or 0)
+    max_deg = g.max_degree()
     if xmax * max(max_deg, 1) >= (1 << 62):
         raise ValueError("spatial_markov lag sum would overflow int64; "
                          "rescale x0")
@@ -2427,7 +2425,7 @@ def directional_rose(
     xmax = max(abs(int(agg[k])) for k in
                ("max(x0)", "min(x0)", "max(x1)", "min(x1)"))
     z_max = n * xmax + max(abs(sx0), abs(sx1))
-    max_deg = int(g.cardinalities().max("cardinality") or 0)
+    max_deg = g.max_degree()
     if z_max >= (1 << 61) or z_max * max(max_deg, 1) >= (1 << 61):
         raise ValueError("directional_rose z/lag terms would overflow "
                          "int64; rescale x")
@@ -2754,8 +2752,7 @@ def lee_l(
     # per-focal lag sums are bounded by max_deg·z_max; use e_count as a
     # loose max_deg bound without an extra degree pass — the lag values
     # themselves must fit int64 on BOTH regimes
-    card = g.cardinalities().max("cardinality")
-    max_deg = int(card or 0)
+    max_deg = g.max_degree()
     lx_max = max_deg * zx_max
     ly_max = max_deg * zy_max
     if lx_max >= (1 << 62) or ly_max >= (1 << 62):
@@ -3193,7 +3190,7 @@ def local_moran_inference(
     sx = int(agg["sum(x)"])
     xmax = max(abs(int(agg["max(x)"])), abs(int(agg["min(x)"])))
     z_max = n * xmax + abs(sx)
-    max_deg = int(g.cardinalities().max("cardinality") or 0)
+    max_deg = g.max_degree()
     if (
         z_max * z_max >= (1 << 62)
         or n * z_max * max_deg * z_max >= (1 << 62)

@@ -658,9 +658,7 @@ def near_dedup_survivors(
 
     ids = ds.select_columns([id_col]).rename_columns({id_col: "focal"})
     g = RayGraph(
-        E.resolve_isolates(
-            pairs.map_batches(_as_edges, batch_format="pyarrow"), ids
-        )
+        pairs.map_batches(_as_edges, batch_format="pyarrow"), ids=ids,
     )
     _n, labels = g.n_components(max_driver_edges=0)
 

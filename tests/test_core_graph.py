@@ -110,7 +110,7 @@ def test_transform_c_many_focals(ray_session):
         "weight": pa.array(w),
     })))
     out = g.transform(lambda x: x / x.sum())
-    got = out._edges.filter(expr="focal < 3").take_all()
+    got = out.edges.filter(expr="focal < 3").take_all()
     by = {(r["focal"], r["neighbor"]): r["weight"] for r in got}
     for i in range(3):
         assert by[(i, 0)] == 0.25 and by[(i, 1)] == 0.75

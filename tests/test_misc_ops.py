@@ -17,7 +17,7 @@ def _g(f, n, w=1.0, ids=None):
     ed = E.from_arrays(f, n, w)
     if ids is None:
         ids = np.unique(np.concatenate([f, n]))
-    return RayGraph(E.resolve_isolates(ed, np.asarray(ids, np.int64)))
+    return RayGraph(ed, ids=np.asarray(ids, np.int64))
 
 
 def test_fill_diagonal_vector(ray_session):
@@ -432,9 +432,7 @@ def test_isomorphic_directed_orientation(ray_session):
             pa.table({"focal": pa.array(np.arange(n, dtype=np.int64))})
         )
         return RayGraph(
-            E.resolve_isolates(
-                ray.data.from_arrow(E.edge_table(f, nb, 1.0)), ids
-            )
+            ray.data.from_arrow(E.edge_table(f, nb, 1.0)), ids=ids,
         )
 
     # directed path 0→1→2  vs  0→1←2: same skeleton, different orientation
@@ -482,7 +480,7 @@ def test_swm_roundtrip_with_isolate(ray_session, tmp_path):
         np.array([1, 0, 2, 1], np.int64),
         np.array([1.0, 1.0, 0.5, 0.5]),
     )
-    g = RayGraph(Ed.resolve_isolates(ds, np.arange(4, dtype=np.int64)))
+    g = RayGraph(ds, ids=np.arange(4, dtype=np.int64))
     p = str(tmp_path / "w.swm")
     write_swm(g, p, id_var="MYID", srs="WGS84")
     g2 = read_swm(p)

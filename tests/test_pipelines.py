@@ -328,11 +328,13 @@ def test_select_top_fraction_massive_boundary_tie(ray_session):
     assert got_all7 == {int(ids[i]) for i in range(n) if scores[i] == 7}
 
 
-@pytest.mark.parametrize("name", ["ktruss", "kcore"])
+@pytest.mark.parametrize("name", [
+    "ktruss", "kcore", "rook_lattice", "queen_strict", "higher_order2",
+])
 def test_isolate_graph_queries_emit_no_schemaless_block(name):
-    # the distance-band graph under these queries carries isolate markers;
-    # a block left empty by dropping them must still reach every later
-    # fused map with its schema, or Ray logs a schema change
+    # the graphs under these queries can carry isolate markers; a block
+    # left empty by dropping them must still reach every later fused map
+    # with its schema, or Ray logs a schema change
     import logging
 
     from libpysal_ray.pipelines.queries import QUERIES

@@ -25,7 +25,7 @@ def _rand_graph(rng, n=30, m=80, weighted=False, ids_offset=0):
     )
     ed = E.from_arrays(pairs[:, 0], pairs[:, 1], w)
     ids = np.arange(n, dtype=np.int64) + ids_offset
-    g = RayGraph(E.resolve_isolates(ed, ids))
+    g = RayGraph(ed, ids=ids)
     return g, {(int(a), int(b)): float(x) for (a, b), x in zip(pairs, w)}
 
 
@@ -84,7 +84,7 @@ def test_higher_order_path_graph(ray_session):
     ed = E.from_arrays(
         np.concatenate([f, f + 1]), np.concatenate([f + 1, f]), 1.0
     )
-    g = RayGraph(E.resolve_isolates(ed, np.arange(n, dtype=np.int64)))
+    g = RayGraph(ed, ids=np.arange(n, dtype=np.int64))
     got = set(_edge_dict(g.higher_order(2)))
     want = {(i, i + 2) for i in range(n - 2)} | {
         (i + 2, i) for i in range(n - 2)
