@@ -158,11 +158,17 @@ def with_isolates(
 
     tagged = ids_ds.select_columns(["focal"]).map_batches(
         _tag_focal(1), batch_format="pyarrow"
-    ).union(
-        real.select_columns(["focal"]).map_batches(
-            _tag_focal(0), batch_format="pyarrow"
-        )
     )
+    # Ray calls no map UDF on an empty block, so an edgeless graph's real
+    # side would reach the aggregate as a schema-less block; its count is
+    # block metadata (``real`` is materialized), and without rows it adds
+    # nothing to the sums
+    if real.count():
+        tagged = tagged.union(
+            real.select_columns(["focal"]).map_batches(
+                _tag_focal(0), batch_format="pyarrow"
+            )
+        )
     # size-switched aggregate (joins.grouped_sum): real is materialized and
     # ids_ds is typically a map over materialized edge blocks, so small
     # graphs prove their size and skip the native sort-aggregate's fixed

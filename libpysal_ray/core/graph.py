@@ -2330,11 +2330,16 @@ class RayGraph:
         return int(deg.max("sum(cnt)") or 0)
 
     def isolates(self) -> ray.data.Dataset:
-        return (
-            self.cardinalities()
-            .filter(expr="cardinality == 0")
-            .select_columns(["focal"])
-        )
+        """Ids with no real edge, as a (focal,) Dataset: one map filters
+        and projects each block, so a block without isolates still
+        carries its schema."""
+
+        def _iso(t: pa.Table) -> pa.Table:
+            f = t.column("focal").to_numpy(zero_copy_only=False)
+            c = t.column("cardinality").to_numpy(zero_copy_only=False)
+            return pa.table({"focal": pa.array(f[c == 0], pa.int64())})
+
+        return self.cardinalities().map_batches(_iso, batch_format="pyarrow")
 
     def summary(self) -> dict:
         """n, s0, s1, s2, trcW2/WtW/WtW_WW, pct_nonzero, mean/max card.
@@ -2421,8 +2426,9 @@ class RayGraph:
         — no driver materialization). Join attr on neighbor →
         groupby(focal) with NATIVE vectorized aggregates for
         count/sum/mean/min/max/std; median/nunique/mode (not expressible as
-        distributive aggregates) fall back to per-group reducers and are
-        joined back on focal."""
+        distributive aggregates) and the ``q=`` percentile band run as
+        per-group reducers through ``joins.per_group`` (one task over a
+        provably small table) and are joined back on focal."""
         withy = _attach_attr(
             self._real_edges(), attr_ids, attr_values,
             key_col="neighbor", out_col="__y", default=np.nan,
@@ -2454,6 +2460,8 @@ class RayGraph:
             lo, hi = q
 
             def _qstats(t: pa.Table) -> pa.Table:
+                if t.num_rows == 0:
+                    return _empty_stats(stats)
                 f = t.column("focal")[0].as_py()
                 y = t.column("__y").to_numpy(zero_copy_only=False)
                 y = y[~np.isnan(y)]
@@ -2479,9 +2487,7 @@ class RayGraph:
                     out[s] = pa.array([v], pa.float64())
                 return pa.table(out)
 
-            return withy.groupby("focal").map_groups(
-                _qstats, batch_format="pyarrow"
-            )
+            return J.per_group(withy, ("focal",), _qstats)
 
         native = [s for s in stats if s in
                   ("count", "sum", "mean", "min", "max", "std")]
@@ -2517,6 +2523,8 @@ class RayGraph:
             )
         if exotic:
             def _stats(t: pa.Table) -> pa.Table:
+                if t.num_rows == 0:
+                    return _empty_stats(exotic)
                 f = t.column("focal")[0].as_py()
                 y = t.column("__y").to_numpy(zero_copy_only=False)
                 y = y[~np.isnan(y)]
@@ -2534,11 +2542,7 @@ class RayGraph:
                     out[s] = pa.array([v], pa.float64())
                 return pa.table(out)
 
-            parts.append(
-                withy.groupby("focal").map_groups(
-                    _stats, batch_format="pyarrow"
-                )
-            )
+            parts.append(J.per_group(withy, ("focal",), _stats))
 
         out = parts[0]
         for p in parts[1:]:
@@ -3100,6 +3104,13 @@ class RayGraph:
         return ncomp, out
 
 
+def _empty_stats(stats) -> pa.Table:
+    """``describe``'s per-group output shape with no rows: focal plus one
+    float64 column per stat."""
+    return pa.table({"focal": pa.array([], pa.int64()),
+                     **{s: pa.array([], pa.float64()) for s in stats}})
+
+
 def _binarize(t: pa.Table) -> pa.Table:
     w = t.column("weight").to_numpy(zero_copy_only=False)
     return t.set_column(
@@ -3114,42 +3125,120 @@ _WEDGE_OUT = pa.schema([pa.field("mid", pa.int64()),
                         pa.field("neighbor", pa.int64())])
 
 
+_KTRUSS_SCHEMA = pa.schema([pa.field("focal", pa.int64()),
+                            pa.field("neighbor", pa.int64()),
+                            pa.field("support", pa.int64())])
+
+
+def _truss_empty() -> ray.data.Dataset:
+    return ray.data.from_arrow(_KTRUSS_SCHEMA.empty_table())
+
+
+def _truss_unconverged(max_rounds: int) -> ValueError:
+    return ValueError(
+        f"ktruss did not converge within max_rounds={max_rounds}; "
+        "raise the budget explicitly"
+    )
+
+
+def _ktruss_peel(f: np.ndarray, n: np.ndarray, need: int,
+                 max_rounds: int, chunk: int) -> pa.Table:
+    """Synchronous k-truss peel of the directed pairs (f, n) in numpy —
+    the same rounds as :func:`ktruss`'s sharded path. Ids compact through
+    ``np.unique`` (any int64 id packs), the pairs dedup as packed int64
+    keys sorted by (focal, neighbor), and each round's support of (f, n)
+    counts the paths f→m→n with f ≠ n over that round's edges, wedges
+    expanded ``chunk`` at a time and added to their edge by
+    ``searchsorted`` + ``bincount``: memory O(edges + chunk) at any hub
+    degree."""
+    if len(f) == 0:
+        return _KTRUSS_SCHEMA.empty_table()
+    nodes, inv = np.unique(np.concatenate([f, n]), return_inverse=True)
+    nn = np.int64(len(nodes))
+    key = np.unique(inv[:len(f)].astype(np.int64) * nn + inv[len(f):])
+    for _ in range(max_rounds):
+        fi, ni = key // nn, key % nn
+        ptr = np.searchsorted(fi, np.arange(nn + 1))  # out-list offsets
+        cnt = np.diff(ptr)[ni]  # wedges through each edge (f, m)
+        cum = np.cumsum(cnt)
+        support = np.zeros(len(key), np.int64)
+        for w0 in range(0, int(cum[-1]), chunk):
+            w = np.arange(w0, min(w0 + chunk, int(cum[-1])))
+            e = np.searchsorted(cum, w, side="right")
+            src = fi[e]
+            dst = ni[ptr[ni[e]] + w - (cum[e] - cnt[e])]
+            pk = (src * nn + dst)[src != dst]
+            at = np.minimum(np.searchsorted(key, pk), len(key) - 1)
+            support += np.bincount(at[key[at] == pk], minlength=len(key))
+        keep = support >= need
+        if not keep.any():
+            return _KTRUSS_SCHEMA.empty_table()
+        if keep.all():
+            return pa.Table.from_arrays(
+                [pa.array(nodes[fi]), pa.array(nodes[ni]),
+                 pa.array(support)], schema=_KTRUSS_SCHEMA,
+            )
+        key = key[keep]
+    # not converged: ``ktruss`` reads this row off the materialized
+    # output and raises at the call, as the sharded path does
+    return pa.table({"unconverged": pa.array([max_rounds], pa.int64())})
+
+
 def ktruss(g, k: int, max_rounds: int = 64) -> ray.data.Dataset:
     """k-truss decomposition (fixed k ≥ 3): the maximal subgraph in
     which every edge participates in at least k−2 triangles, by
     synchronous support peeling to the fixpoint. Requires a symmetric
     (undirected) edge set. Output (focal, neighbor, support): both
     directions of every surviving edge with its exact WITHIN-TRUSS
-    triangle count.
-
-    100 TB shape: per round the bucketed wedge expansion
-    (edges⋈edges on the shared midpoint — a marked size-expander,
-    materialized) + ONE pair semi-join against the edge set (support =
-    summed path weights, the w_local_cluster triangle plan) + the
-    support filter; edges with no triangle rows drop implicitly
-    (support 0). Rounds are data-dependent — ``max_rounds`` raises
+    triangle count. Rounds are data-dependent — ``max_rounds`` raises
     loudly instead of spinning.
 
-    Each round runs exactly two Dataset executions: ``paths`` and the
-    kept edges, which carry ``weight = support`` (the wedge maps ignore
-    it), so the fixpoint's kept edges are the output. The id-range check
-    of the packed semi-join runs once, before the loop: every later
-    round's edges are a subset. The wedge sides declare their schemas,
-    so no bucket_join schema fetch executes a plan."""
+    Each round keeps the edges whose support — the number of paths
+    f→m→n with f ≠ n through the round's edges (self-loops and
+    zero-weight edges included), the w_local_cluster triangle plan —
+    is at least k−2. Two paths, chosen by the engine's small-input
+    switch (``joins._coalesced``) on the real edges:
+
+    * **Coalesced** (a provable size bound): ONE task runs the whole
+      peel in numpy (:func:`_ktruss_peel`) — one Dataset execution in
+      all, materialized here so ``max_rounds`` raises at the call.
+    * **Sharded** (size unknown or large), the 100 TB shape: the dedup,
+      the one id-range check of the packed semi-join (every later
+      round's edges are a subset), then per round the bucketed wedge
+      expansion (edges⋈edges on the shared midpoint — a marked
+      size-expander, materialized) and ONE pair semi-join against the
+      edge set, whose kept edges carry ``weight = support``: two
+      Dataset executions per round. The wedge sides declare their
+      schemas, so no bucket_join schema fetch executes a plan."""
     if k < 3:
         raise ValueError("ktruss needs k >= 3 (k-2 triangle support)")
+    cap = J._COALESCED_EMIT_ROWS  # read at plan build, not in the task
+
+    def _peel_task(t: pa.Table) -> pa.Table:
+        return _ktruss_peel(
+            t.column("focal").to_numpy(zero_copy_only=False).astype(np.int64),
+            t.column("neighbor").to_numpy(
+                zero_copy_only=False).astype(np.int64),
+            k - 2, max_rounds, cap,
+        )
+
+    small = J._coalesced(g._real_edges(), _peel_task)
+    if small is not None:
+        out = small.materialize()
+        schema = out.schema()
+        # Ray does not call the task on an edgeless graph's empty block
+        if schema is None:
+            return _truss_empty()
+        if "unconverged" in schema.names:
+            raise _truss_unconverged(max_rounds)
+        return out
     need = float(k - 2)
     edges = E.dedup(
         g._real_edges().map_batches(_binarize, batch_format="pyarrow")
     ).materialize()
     e_count = int(edges.count())
-    _empty = pa.table({
-        "focal": pa.array([], pa.int64()),
-        "neighbor": pa.array([], pa.int64()),
-        "support": pa.array([], pa.int64()),
-    })
     if e_count == 0:
-        return ray.data.from_arrow(_empty)
+        return _truss_empty()
     id_range = J.pair_id_range(edges)
     for _ in range(max_rounds):
         e1 = J.declare_schema(edges.map_batches(
@@ -3190,15 +3279,12 @@ def ktruss(g, k: int, max_rounds: int = 64) -> ray.data.Dataset:
         ).materialize()  # (focal, neighbor, weight = support)
         n_kept = int(kept.count())
         if n_kept == 0:
-            return ray.data.from_arrow(_empty)
+            return _truss_empty()
         if n_kept == e_count:
             break
         edges, e_count = kept, n_kept
     else:
-        raise ValueError(
-            f"ktruss did not converge within max_rounds={max_rounds}; "
-            "raise the budget explicitly"
-        )
+        raise _truss_unconverged(max_rounds)
     return kept.map_batches(
         lambda t: pa.table({
             "focal": t.column("focal"),

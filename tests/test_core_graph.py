@@ -7,11 +7,14 @@ FIXTURES.md F4): lat2W rook neighbors (util.py:174-181), transform R
 (weights.py:86-91 uses 10x10 → 3.96; we assert 3x3 closed-form).
 """
 
+import itertools
 import math
 
 import numpy as np
 import pandas as pd
 import pytest
+import ray
+import ray.data
 
 from libpysal_ray.builders.lattice import lat2graph
 from libpysal_ray.core.graph import RayGraph
@@ -743,12 +746,17 @@ def _graph(pairs, offset=0):
     return RayGraph.from_arrays(e[:, 0], e[:, 1], np.ones(len(e)))
 
 
-def test_ktruss_closed_forms(ray_session):
+def test_ktruss_closed_forms(ray_session, monkeypatch):
+    from libpysal_ray.core import joins as J
     from libpysal_ray.core.graph import ktruss
 
-    # offset 2^32 puts every id past the packed semi-join's int64 key
-    # range, so the rounds take the cogroup fallback
-    for offset in (0, 1 << 32):
+    # both paths: the one-task numpy peel, then the distributed rounds
+    # (the small-input switch forced off); offset 2^32 puts every id past
+    # the packed semi-join's int64 key range, so the distributed rounds
+    # take the cogroup fallback
+    for small_bytes, offset in itertools.product(
+            (J.SMALL_COGROUP_BYTES, -1), (0, 1 << 32)):
+        monkeypatch.setattr(J, "SMALL_COGROUP_BYTES", small_bytes)
         g = _graph(_K4 + _PENDANT, offset)
         t4 = ktruss(g, 4).to_pandas()
         got = sorted(set(zip(t4["focal"] - offset,
@@ -774,9 +782,10 @@ def test_ktruss_closed_forms(ray_session):
     (_K4 + _PENDANT + _DIAMOND, 3),
 ], ids=["closed_form", "diamond"])
 def test_ktruss_execution_budget(ray_session, monkeypatch, pairs, rounds):
-    """Each peeling round runs two Dataset executions (``paths`` and the
-    kept edges) on top of a fixed set-up: the dedup, the one id-range
-    check and the consumer's execution of the output. The declared
+    """On the distributed rounds (an edge set with no size bound), each
+    peeling round runs two Dataset executions (``paths`` and the kept
+    edges) on top of a fixed set-up: the dedup, the one id-range check
+    and the consumer's execution of the output. The declared
     bucket_join schemas must be the ones the steps really produce."""
     import logging
 
@@ -787,7 +796,18 @@ def test_ktruss_execution_budget(ray_session, monkeypatch, pairs, rounds):
     from libpysal_ray.core import joins as J
     from libpysal_ray.core.graph import ktruss
 
-    g = _graph(pairs)
+    from libpysal_ray.core import edges as E
+
+    def _unbounded(t):
+        return t
+
+    # an edge set without a size bound (a lazy plan through a marked
+    # size-expander) takes the distributed rounds; the primitives inside
+    # them still size their own materialized inputs
+    _unbounded._size_expanding = True
+    e = np.array(pairs, dtype=np.int64)
+    g = RayGraph(E.from_arrays(e[:, 0], e[:, 1]).map_batches(
+        _unbounded, batch_format="pyarrow"))
     declared = []
     orig_declare = J.declare_schema
 
@@ -833,3 +853,147 @@ def test_ktruss_execution_budget(ray_session, monkeypatch, pairs, rounds):
     # per round: the two wedge sides and the packed semi-join's two sides
     assert len(declared) == 4 * rounds
     assert not warned, warned
+
+
+def test_ktruss_coalesced_runs_one_execution(ray_session, monkeypatch):
+    """A provably small edge set peels in one task: the whole call plus
+    the consumer's ``materialize()`` is one Dataset execution, and
+    ``max_rounds`` still raises a ValueError at the call."""
+    import logging
+
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor,
+    )
+
+    from libpysal_ray.core.graph import ktruss
+
+    g = _graph(_K4 + _PENDANT + _DIAMOND)
+    calls = []
+    orig_execute = StreamingExecutor.execute
+    monkeypatch.setattr(
+        StreamingExecutor, "execute",
+        lambda self, *a, **k: calls.append(1) or orig_execute(self, *a, **k),
+    )
+    warned = []
+
+    class _Warnings(logging.Handler):
+        def emit(self, record):
+            if "different schema" in record.getMessage():
+                warned.append(record.getMessage())
+
+    handler = _Warnings()
+    logging.getLogger("ray.data").addHandler(handler)
+    try:
+        out = ktruss(g, 4).materialize()
+    finally:
+        logging.getLogger("ray.data").removeHandler(handler)
+    assert len(calls) == 1
+    assert not warned, warned
+    t4 = out.to_pandas()
+    assert sorted(zip(t4["focal"], t4["neighbor"])) == sorted(_K4)
+    assert (t4["support"] == 2).all()
+    # the diamond needs three rounds to reach its fixpoint
+    with pytest.raises(ValueError, match="max_rounds=2"):
+        ktruss(g, 4, max_rounds=2)
+    assert ktruss(g, 4, max_rounds=3).count() == len(_K4)
+
+
+def _random_truss_graph(seed, n_nodes=16, n_cliques=4, n_extra=10):
+    """Seeded random symmetric pairs: a few overlapping cliques of 3-5
+    nodes (their edges carry support) plus random extra edges."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(n_cliques):
+        c = rng.choice(n_nodes, rng.integers(3, 6), replace=False)
+        pairs += [(a, b) for a in c for b in c if a != b]
+    extra = rng.integers(0, n_nodes, (n_extra, 2))
+    pairs += [tuple(p) for p in extra] + [tuple(p[::-1]) for p in extra]
+    return np.array(pairs, dtype=np.int64), rng
+
+
+def _truss_reference(f, n, k):
+    """Set-based synchronous peel: support(a, b) = #{m : a→m, m→b} for
+    a ≠ b, over the round's distinct directed pairs."""
+    edges = set(zip(f.tolist(), n.tolist()))
+    while True:
+        out = {}
+        for a, m in edges:
+            out.setdefault(a, set()).add(m)
+        sup = {(a, b): 0 if a == b else sum(
+            1 for m in out[a] if b in out.get(m, ()))
+            for a, b in edges}
+        kept = {e for e, s in sup.items() if s >= k - 2}
+        if kept == edges or not kept:
+            return {(a, b, sup[(a, b)]) for a, b in kept}
+        edges = kept
+
+
+@pytest.mark.parametrize("seed, k, offset", [
+    (0, 3, 0), (4, 4, 0), (1, 5, 0), (2, 4, 1 << 32),
+], ids=["k3", "k4", "k5", "k4_offset2^32"])
+def test_ktruss_paths_agree(ray_session, monkeypatch, seed, k, offset):
+    """The one-task peel and the distributed rounds give the same rows on
+    seeded random symmetric graphs with self-loops, duplicate rows and
+    zero-weight edges (ids past 2^32 in one case), and both match a
+    set-based reference. The coalesced run calls no native groupby."""
+    from libpysal_ray.core import joins as J
+    from libpysal_ray.core.graph import ktruss
+
+    pairs, rng = _random_truss_graph(seed)
+    loops = rng.choice(16, 3, replace=False)
+    dups = pairs[rng.choice(len(pairs), 8, replace=False)]
+    e = np.concatenate([pairs, np.c_[loops, loops], dups]) + np.int64(offset)
+    w = np.ones(len(e))
+    w[rng.choice(len(pairs), 10, replace=False)] = 0.0  # zero-weight edges
+    g = RayGraph.from_arrays(e[:, 0], e[:, 1], w)
+
+    native = []
+    orig = ray.data.Dataset.groupby
+    monkeypatch.setattr(
+        ray.data.Dataset, "groupby",
+        lambda self, *a, **kw: native.append(a) or orig(self, *a, **kw),
+    )
+
+    def rows():
+        return {(r["focal"], r["neighbor"], r["support"])
+                for r in ktruss(g, k).take_all()}
+
+    small = rows()
+    assert not native
+    monkeypatch.setattr(J, "SMALL_COGROUP_BYTES", -1)
+    sharded = rows()
+    assert native
+    assert small == sharded
+    assert small == _truss_reference(e[:, 0], e[:, 1], k)
+    assert small, "the graph must keep a non-empty truss"
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 22])
+def test_ktruss_peel_wedge_chunks_match_reference(chunk):
+    # the one-task peel expands wedges ``chunk`` at a time; any chunk
+    # size gives the reference's rows, ids past 2^62 included
+    from libpysal_ray.core.graph import _ktruss_peel
+
+    pairs, rng = _random_truss_graph(5)
+    loops = rng.choice(16, 3, replace=False)
+    e = np.concatenate([pairs, np.c_[loops, loops]]) + np.int64(1 << 62)
+    for k in (3, 4, 5):
+        out = _ktruss_peel(e[:, 0], e[:, 1], k - 2, 64, chunk)
+        got = set(zip(out.column("focal").to_pylist(),
+                      out.column("neighbor").to_pylist(),
+                      out.column("support").to_pylist()))
+        assert got == _truss_reference(e[:, 0], e[:, 1], k)
+        assert got
+
+
+def test_ktruss_empty_graph_both_paths(ray_session, monkeypatch):
+    from libpysal_ray.core import joins as J
+    from libpysal_ray.core.graph import ktruss
+
+    g = RayGraph.from_arrays(np.array([], np.int64), np.array([], np.int64),
+                             ids=np.arange(4))
+    for small_bytes in (J.SMALL_COGROUP_BYTES, -1):
+        monkeypatch.setattr(J, "SMALL_COGROUP_BYTES", small_bytes)
+        out = ktruss(g, 3)
+        assert out.count() == 0
+        assert out.schema().names == ["focal", "neighbor", "support"]

@@ -22,7 +22,7 @@ ALLOWED = {
     "builders/raster.py": 5,
     "builders/sphere.py": 2,
     "builders/triangulation.py": 1,
-    "core/graph.py": 17,
+    "core/graph.py": 15,
     "core/ids.py": 1,
     "core/joins.py": 4,
     "core/sketch.py": 3,
@@ -33,7 +33,7 @@ ALLOWED = {
     "spatial/overlay.py": 2,
     "spatial/pointpat.py": 8,
     "spatial/smoothing.py": 1,
-    "spatial/stats.py": 21,
+    "spatial/stats.py": 20,
     "temporal/joins.py": 1,
     "text/analysis.py": 11,
     "text/dedup.py": 3,

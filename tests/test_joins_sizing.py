@@ -380,3 +380,36 @@ def test_bucket_join_paths_agree(ray_session, monkeypatch, how, case):
         "anti": int((~match).sum()),
     }[how]
     assert sum(got.values()) == want
+
+
+def _nan_to_null(ds):
+    """NaN float cells as nulls, so row multisets compare NaN-equal."""
+    import pyarrow.compute as pc
+
+    def f(t: pa.Table) -> pa.Table:
+        return pa.table({
+            c: pc.if_else(pc.is_nan(t.column(c)), None, t.column(c))
+            if pa.types.is_floating(t.schema.field(c).type) else t.column(c)
+            for c in t.schema.names
+        })
+
+    return ds.map_batches(f, batch_format="pyarrow")
+
+
+@pytest.mark.parametrize("kw", [
+    {"q": (10.0, 90.0)},
+    {"stats": ("median", "nunique", "mode")},
+], ids=["percentile_band", "exotic_stats"])
+def test_describe_per_group_paths_agree(ray_session, monkeypatch, kw):
+    # describe's per-group reducers (the q= band; median/nunique/mode)
+    # run through per_group: one task on the small path, map_groups on
+    # the sharded one; ties for mode, NaN attributes and empty bands
+    from libpysal_ray.builders.lattice import lat2graph
+
+    g = lat2graph(5, 5, rook=True)
+    rng = np.random.default_rng(12)
+    vals = rng.integers(0, 4, 25).astype(np.float64)
+    vals[[3, 17]] = np.nan
+    got = _paths_agree(monkeypatch, lambda: _nan_to_null(
+        g.describe(np.arange(25), vals, **kw)))
+    assert len(got) == 25

@@ -203,3 +203,36 @@ def test_max_degree_equals_cardinality_max(case, executions):
     want = int(g.cardinalities().max("cardinality") or 0)
     assert got == want
     assert (got == 0) == (case == "no_edges")
+
+
+@pytest.mark.parametrize("case", ["isolates", "edgeless_n"])
+def test_isolate_reads_emit_no_schemaless_block(case):
+    # isolates() filters every block of cardinalities(); an edgeless
+    # graph's markers come from its ids alone. Neither may hand Ray a
+    # block without a schema, or Ray logs a schema change
+    import logging
+
+    from libpysal_ray.sources.polygons import holes_and_islands
+
+    if case == "isolates":
+        g = rook(holes_and_islands(3, 3, holes=(4,), n_islands=2))
+        read, want = (lambda: sorted(
+            r["focal"] for r in g.isolates().take_all())), [9, 10]
+    else:
+        g = RayGraph.from_arrays(np.array([], np.int64),
+                                 np.array([], np.int64), ids=np.arange(4))
+        read, want = g.n, 4
+    warned = []
+
+    class _Warnings(logging.Handler):
+        def emit(self, record):
+            if "different schema" in record.getMessage():
+                warned.append(record.getMessage())
+
+    handler = _Warnings()
+    logging.getLogger("ray.data").addHandler(handler)
+    try:
+        assert read() == want
+    finally:
+        logging.getLogger("ray.data").removeHandler(handler)
+    assert not warned, warned
