@@ -551,16 +551,7 @@ def nonplanar_neighbors(
     semi-joins — the second-pass island-restricted join. Returns a graph
     whose edges are g's edges ∪ the new island joins (symmetric).
     """
-
-    # islands = isolate marker rows of g
-    def _isol(t: pa.Table) -> pa.Table:
-        f = t.column("focal").to_numpy(zero_copy_only=False)
-        n = t.column("neighbor").to_numpy(zero_copy_only=False)
-        w = t.column("weight").to_numpy(zero_copy_only=False)
-        keep = (f == n) & (w == 0.0)
-        return pa.table({"focal": pa.array(f[keep])})
-
-    islands = g.edges.map_batches(_isol, batch_format="pyarrow").materialize()
+    islands = g.isolates().materialize()
     if islands.count() == 0:
         return g
 
@@ -595,9 +586,7 @@ def nonplanar_neighbors(
     by_nbr = J.bucket_join(fz_real, isl_nbr, on="neighbor", how="semi")
     new = E.dedup(by_focal.union(by_nbr), keep="max")
     merged = E.dedup(g._real_edges().union(new), keep="max")
-    from libpysal_ray.core.graph import ids_dataset
-
-    out = RayGraph(merged, ids=ids_dataset(g.edges))
+    out = RayGraph(merged, ids=g.ids())
     out.non_planar_joins = new
     return out
 

@@ -170,13 +170,9 @@ def odw(
         _cross, batch_format="pyarrow", batch_size=4096
     )
     # id universe: all (o, d) combinations of the two id sets.  Destination
-    # ids come from ALL focal ids of wd.edges (isolate marker rows included)
-    # so a d-side isolate still yields flow rows, symmetric with the o side.
-    from libpysal_ray.core.graph import ids_dataset
-
-    d_ids = np.unique(
-        ids_dataset(wd.edges).to_pandas()["focal"].to_numpy(np.int64)
-    )
+    # ids are ALL of wd's ids (isolates included) so a d-side isolate
+    # still yields flow rows, symmetric with the o side.
+    d_ids = np.unique(wd.ids().to_pandas()["focal"].to_numpy(np.int64))
     d_ref = ray.put(d_ids)
 
     def _flow_ids(t: pa.Table) -> pa.Table:
@@ -190,7 +186,7 @@ def odw(
             }
         )
 
-    ids = ids_dataset(wo.edges).map_batches(_flow_ids, batch_format="pyarrow")
+    ids = wo.ids().map_batches(_flow_ids, batch_format="pyarrow")
     return RayGraph(edges, ids=ids)
 
 

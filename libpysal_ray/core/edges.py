@@ -9,8 +9,9 @@ Invariants preserved here, matching the reference:
 * isolates (ids with no neighbors) appear as zero-weight self-loops
   (reference graph/_utils.py:248-272 ``_resolve_islands``). ``RayGraph``
   owns this invariant: it keeps a builder's real edges and its id
-  universe, and builds the markers (``with_isolates``) only when a
-  consumer first reads its full edge table;
+  universe, builds one ``node_table`` (focal, cardinality) from them at
+  most once, and reads the markers off it (``isolate_markers``) when a
+  consumer reads its full edge table;
 * canonical presentation order is (focal, neighbor) sorted — applied ONLY at
   the serialize/compare boundary (``canonical``), never mid-pipeline;
 * dedup keeps one row per directed (focal, neighbor) pair.
@@ -117,86 +118,96 @@ def canonical(edges: ray.data.Dataset) -> ray.data.Dataset:
     return edges.sort(["focal", "neighbor"])
 
 
-def with_isolates(
-    real: ray.data.Dataset, ids: ray.data.Dataset | np.ndarray
-) -> ray.data.Dataset:
-    """``real`` plus one zero-weight self-loop marker per id with no real
-    focal row — the second half of reference ``_resolve_islands``
-    (graph/_utils.py:248-272). ``real`` must be marker-free and
-    materialized; ``RayGraph`` calls this on the first full-table read.
-    ``ids`` may repeat ids and may be a lazy plan."""
-    if isinstance(ids, np.ndarray):
-        ids_ds = ray.data.from_arrow(
-            pa.table({"focal": pa.array(ids.astype(np.int64))})
-        )
-    else:
-        ids_ds = ids
-    # Physical plan (fully vectorized — no per-group Python):
-    # 1. isolates = ids with no real focal row, found by ONE sum-aggregate
-    #    over a tagged union of (ids, real focals) — robust to duplicate
-    #    ids on either side;
-    # 2. output = real ∪ one (i, i, 0.0) marker per isolate.
+NODE_SCHEMA = pa.schema(
+    [pa.field("focal", pa.int64()), pa.field("cardinality", pa.int64())]
+)
 
-    def _tag_focal(side: int):
-        def f(t: pa.Table) -> pa.Table:
-            n = t.num_rows
-            one = np.ones(n, np.int64) if side else np.zeros(n, np.int64)
-            other = np.zeros(n, np.int64) if side else np.ones(n, np.int64)
-            # per-batch unique focal — combiner that shrinks the shuffle
-            fo = t.column("focal").to_numpy(zero_copy_only=False)
-            uf = np.unique(fo)
-            k = len(uf)
-            return pa.table(
-                {
-                    "focal": pa.array(uf),
-                    "ci": pa.array(one[:k]),
-                    "cr": pa.array(other[:k]),
-                }
-            )
 
-        return f
-
-    tagged = ids_ds.select_columns(["focal"]).map_batches(
-        _tag_focal(1), batch_format="pyarrow"
+def _focal_counts(t: pa.Table) -> pa.Table:
+    """Per-block (focal, number of non-marker rows): the combiner that
+    feeds the node table's one aggregate; a marker row counts 0."""
+    f = t.column("focal").to_numpy(zero_copy_only=False)
+    n = t.column("neighbor").to_numpy(zero_copy_only=False)
+    w = t.column("weight").to_numpy(zero_copy_only=False)
+    u, inv = np.unique(f, return_inverse=True)
+    c = np.bincount(inv, weights=~((f == n) & (w == 0.0)), minlength=len(u))
+    return pa.Table.from_arrays(
+        [pa.array(u.astype(np.int64)), pa.array(c.astype(np.int64))],
+        schema=NODE_SCHEMA,
     )
-    # Ray calls no map UDF on an empty block, so an edgeless graph's real
-    # side would reach the aggregate as a schema-less block; its count is
-    # block metadata (``real`` is materialized), and without rows it adds
-    # nothing to the sums
-    if real.count():
-        tagged = tagged.union(
-            real.select_columns(["focal"]).map_batches(
-                _tag_focal(0), batch_format="pyarrow"
-            )
-        )
-    # size-switched aggregate (joins.grouped_sum): real is materialized and
-    # ids_ds is typically a map over materialized edge blocks, so small
-    # graphs prove their size and skip the native sort-aggregate's fixed
-    # stage cost; unknown/big sizes shuffle.
+
+
+def _id_rows(t: pa.Table) -> pa.Table:
+    u = np.unique(t.column("focal").to_numpy(zero_copy_only=False))
+    return pa.Table.from_arrays(
+        [pa.array(u.astype(np.int64)), pa.array(np.zeros(len(u), np.int64))],
+        schema=NODE_SCHEMA,
+    )
+
+
+def node_table(
+    edges: ray.data.Dataset, ids: ray.data.Dataset | np.ndarray | None = None
+) -> ray.data.Dataset:
+    """The materialized ``(focal, cardinality)`` table, one row per id,
+    ``cardinality`` = the id's non-marker focal rows (reference ``W``'s
+    ``cardinalities``, weights.py:747-756). One size-switched sum over
+    per-block counts.
+
+    ``ids=None``: ``edges`` is a finished table and its focals are the
+    ids (marker rows count 0). Otherwise ``edges`` is a builder's
+    materialized real edges and the ids are ``ids`` ∪ their focals;
+    ``ids`` (a numpy array or a lazy plan with a ``focal`` column) may
+    repeat ids."""
     from libpysal_ray.core.joins import grouped_sum
 
-    iso = (
-        grouped_sum(tagged, ("focal",), ("ci", "cr"), ids_ds, real)
-        .rename_columns({"sum(ci)": "ci", "sum(cr)": "cr"})
-        .filter(expr="cr == 0")
+    side = edges.map_batches(_focal_counts, batch_format="pyarrow")
+    sizes = (edges,)
+    if ids is not None:
+        if isinstance(ids, np.ndarray):
+            ids_ds = ray.data.from_arrow(_id_rows(pa.table({"focal": ids})))
+        else:
+            ids_ds = ids.select_columns(["focal"]).map_batches(
+                _id_rows, batch_format="pyarrow"
+            )
+        # Ray calls no map UDF on an empty block, so an edgeless graph's
+        # count side would reach the aggregate as a schema-less block; its
+        # row count is block metadata (the real edges are materialized),
+        # and without rows it adds nothing to the sums
+        side = ids_ds.union(side) if edges.count() else ids_ds
+        sizes = (ids_ds, edges)
+    return (
+        grouped_sum(side, ("focal",), ("cardinality",), *sizes)
+        .rename_columns({"sum(cardinality)": "cardinality"})
+        .materialize()
     )
-    markers = iso.map_batches(
-        lambda t: pa.Table.from_arrays(
-            [
-                t.column("focal"),
-                t.column("focal"),
-                pa.array(np.full(t.num_rows, 0.0)),
-            ],
-            schema=EDGE_SCHEMA,
-        ),
-        batch_format="pyarrow",
-    ).materialize()
-    # both sides are materialized, so the union is pure block refs: every
-    # downstream consumer (set ops read a graph's edges twice — real rows +
-    # id universe) reuses the cached blocks with zero recompute. No
-    # isolates means no union: the empty marker output carries no schema,
-    # and Ray warns on every later execution that reads the union.
-    return real if markers.count() == 0 else real.union(markers)
+
+
+@ray.remote(num_returns=2)
+def _block_markers(nodes: pa.Table) -> tuple[pa.Table, int]:
+    if nodes.num_rows == 0:  # a shuffle's empty partition may be untyped
+        return empty_edges(), 0
+    c = nodes.column("cardinality").to_numpy(zero_copy_only=False)
+    iso = nodes.column("focal").to_numpy(zero_copy_only=False)[c == 0]
+    return edge_table(iso, iso, 0.0), len(iso)
+
+
+def isolate_markers(nodes: ray.data.Dataset) -> ray.data.Dataset | None:
+    """One zero-weight self-loop ``(i, i, 0.0)`` per row of the
+    materialized node table ``nodes`` with cardinality 0 — the second
+    half of reference ``_resolve_islands`` (graph/_utils.py:248-272) —
+    materialized, or None without isolates.
+
+    One small task per node-table block, not a Dataset map: a lazy map
+    over a block without isolates yields a zero-row block, which the next
+    fused map passes on without a schema (Ray then logs a schema change
+    on every execution that reads the edges), so only blocks with
+    isolates may enter the edge table, and no Dataset execution can tell
+    which those are without running."""
+    refs = [ref for b in nodes.iter_internal_ref_bundles() for ref, _ in b.blocks]
+    out = [_block_markers.remote(ref) for ref in refs]
+    counts = ray.get([k for _m, k in out])
+    kept = [m for (m, _k), k in zip(out, counts) if k]
+    return ray.data.from_arrow_refs(kept) if kept else None
 
 
 def without_markers(edges: ray.data.Dataset) -> ray.data.Dataset:

@@ -97,24 +97,10 @@ def _batch_unique_focal(t: pa.Table) -> pa.Table:
     return pa.table({"focal": pa.array(f)})
 
 
-def ids_dataset(edges: ray.data.Dataset) -> ray.data.Dataset:
-    """Distinct focal ids as a Dataset (per-batch combiner + one
-    size-switched groupby)."""
-    u = edges.select_columns(["focal"]).map_batches(
-        _batch_unique_focal, batch_format="pyarrow"
-    )
-    return J.grouped_agg(u, ("focal",), (None,), "count").select_columns(
-        ["focal"]
-    )
-
-
-def all_ids_dataset(edges: ray.data.Dataset) -> ray.data.Dataset:
-    """Distinct ids over focal ∪ neighbor."""
-    f = edges.select_columns(["focal"])
-    n = edges.select_columns(["neighbor"]).rename_columns({"neighbor": "focal"})
-    u = f.union(n).map_batches(_batch_unique_focal, batch_format="pyarrow")
-    return J.grouped_agg(u, ("focal",), (None,), "count").select_columns(
-        ["focal"]
+def _neighbors_as_focal(edges: ray.data.Dataset) -> ray.data.Dataset:
+    return edges.map_batches(
+        lambda t: pa.table({"focal": t.column("neighbor")}),
+        batch_format="pyarrow",
     )
 
 
@@ -156,32 +142,23 @@ def _wl_equivalent(a: "RayGraph", b: "RayGraph", rounds: int = 6) -> bool:
         )
 
     def _init_colors(g: "RayGraph") -> ray.data.Dataset:
-        ids = ids_dataset(g.edges)
-        real = g._real_edges().select_columns(["focal", "neighbor"])
-        outd = J.grouped_agg(
-            real.select_columns(["focal"]), ("focal",), (None,), "count"
-        ).map_batches(
+        # out-degree = the node table's cardinality (isolates 0)
+        outd = g.cardinalities().map_batches(
             lambda t: pa.table(
-                {"focal": t.column("focal"), "od": t.column("count()")}
+                {"focal": t.column("focal"), "od": t.column("cardinality")}
             ),
             batch_format="pyarrow",
         )
+        real = g._real_edges().select_columns(["focal", "neighbor"])
         ind = J.grouped_agg(
-            real.map_batches(
-                lambda t: pa.table({"focal": t.column("neighbor")}),
-                batch_format="pyarrow",
-            ),
-            ("focal",), (None,), "count",
+            _neighbors_as_focal(real), ("focal",), (None,), "count",
         ).map_batches(
             lambda t: pa.table(
                 {"focal": t.column("focal"), "idg": t.column("count()")}
             ),
             batch_format="pyarrow",
         )
-        j = J.bucket_join(
-            J.bucket_join(ids, outd, on="focal", how="left"),
-            ind, on="focal", how="left",
-        )
+        j = J.bucket_join(outd, ind, on="focal", how="left")
 
         def _c0(t: pa.Table) -> pa.Table:
             od = _u(t.column("od"))
@@ -307,19 +284,24 @@ class RayGraph:
 
     (Reference Graph is likewise immutable — graph/_set_ops.py:41-45.)
 
-    ``RayGraph(edges)`` takes a finished edge table as it is.
-    ``RayGraph(edges, ids=ids)`` takes a builder's output and owns the
-    isolate invariant: construction materializes the real edges (markers
-    dropped, one Dataset execution) and keeps ``ids`` (a numpy array or a
-    lazy Dataset with a ``focal`` column, repeats allowed) as a pending
-    plan. The first read of the full edge table (``edges``, ``n()``,
-    ``cardinalities()``, ``transform``, set ops, ``to_parquet``, …) builds
-    one zero-weight self-loop marker per id with no real edge and caches
-    the result on the graph; ``_real_edges()`` never builds them, so a
-    consumer of the real edges alone pays nothing for isolates (the
-    reference ``W`` likewise finds islands lazily, weights.py:808-814).
-    The pending plan reads the builder's inputs, so those inputs (files,
-    object-store blocks) must stay readable until that first read.
+    ``RayGraph(edges)`` takes a finished edge table as it is; its ids
+    are its focals. ``RayGraph(edges, ids=ids)`` takes a builder's output
+    and owns the isolate invariant: construction materializes the real
+    edges (markers dropped, one Dataset execution) and keeps ``ids`` (a
+    numpy array or a lazy Dataset with a ``focal`` column, repeats
+    allowed) as a pending plan.
+
+    Either graph builds one **node table** (``cardinalities()``: one
+    ``(focal, cardinality)`` row per id, materialized, one Dataset
+    execution) at most once, on the first read that needs the id set
+    (the reference ``W`` caches its derived facts the same way,
+    weights.py:199-201). ``ids()``, ``n()``, ``isolates()`` and the
+    isolate markers of ``edges`` (one zero-weight self-loop per id with
+    cardinality 0, unioned onto the real edges) all read it. ``_real_edges()`` and ``max_degree()`` never
+    build it, so a consumer of the real edges alone pays nothing for
+    isolates. The pending plan reads the builder's inputs, so those
+    inputs (files, object-store blocks) must stay readable until the
+    node table is built.
     """
 
     def __init__(
@@ -335,7 +317,12 @@ class RayGraph:
         else:
             self._full = None
             self._real = E.compact(E.without_markers(edges))
+            if self._real.count() == 0:  # block metadata: no execution
+                # a map never called on an empty block leaves it without
+                # a schema; every reader of the real edges needs one
+                self._real = ray.data.from_arrow(E.empty_edges())
         self._ids = ids
+        self._nodes: ray.data.Dataset | None = None
         self.transformation = transformation
         # handle to the pre-transform edge Dataset so transform("O") can
         # restore originals (reference caches transformations["O"],
@@ -353,8 +340,10 @@ class RayGraph:
         if ids is not None:
             return cls(ds, ids=np.asarray(ids, dtype=np.int64))
         # id universe = focal ∪ neighbor (ids seen only as neighbors must
-        # still exist as observations — reference W keys every id)
-        return cls(ds, ids=all_ids_dataset(ds))
+        # still exist as observations — reference W keys every id); the
+        # node table drops the repeats
+        return cls(ds, ids=ds.select_columns(["focal"]).union(
+            _neighbors_as_focal(ds)))
 
     @classmethod
     def from_parquet(cls, path: str, **kwargs) -> "RayGraph":
@@ -376,12 +365,25 @@ class RayGraph:
     # ------------------------------------------------------------ accessors
     @property
     def edges(self) -> ray.data.Dataset:
-        """The full edge table: real edges plus isolate markers, built
-        once on the first read of a graph constructed with ``ids``."""
+        """The full edge table. On a graph constructed with ``ids``: the
+        materialized real edges plus the isolate markers read off the
+        node table, so the first read costs the node table's one
+        execution; both sides are block refs, so every consumer reuses
+        them."""
         if self._full is None:
-            self._full = E.with_isolates(self._real, self._ids)
-            self._ids = None
+            markers = E.isolate_markers(self.cardinalities())
+            if markers is None:
+                self._full = self._real
+            elif self._real.count() == 0:  # no zero-row block in the union
+                self._full = markers
+            else:
+                self._full = self._real.union(markers)
         return self._full
+
+    def ids(self) -> ray.data.Dataset:
+        """The id universe as a ``(focal,)`` Dataset, one row per id: the
+        node table's ``focal`` column (reference ``W.id_order``)."""
+        return self.cardinalities().select_columns(["focal"])
 
     @property
     def _original(self) -> ray.data.Dataset:
@@ -410,7 +412,8 @@ class RayGraph:
 
     # ------------------------------------------------------------- scalars
     def n(self) -> int:
-        return ids_dataset(self.edges).count()
+        """The number of ids: the node table's row count (metadata)."""
+        return self.cardinalities().count()
 
     def nonzero(self) -> int:
         return self.edges.filter(
@@ -423,9 +426,9 @@ class RayGraph:
         Use before feeding the same graph to several downstream pipelines —
         Ray does not share common DAG branches, so an uncached graph would
         recompute its builder once per consumer. This materializes only
-        what is already resolved: it does not build pending isolate
-        markers (the real edges are materialized at construction, and the
-        markers are cached on the graph when first built)."""
+        what is already resolved: it does not build the node table (the
+        real edges are materialized at construction, and the node table
+        and markers are cached on the graph when first built)."""
         if self._full is not None:
             self._full = self._full.materialize()
         return self
@@ -834,7 +837,7 @@ class RayGraph:
         graph/base.py:2274-2355). Binary matrix powers re-expressed as k−1
         distributed hash self-joins with per-batch dedup before each shuffle.
         """
-        ids = ids_dataset(self.edges).materialize()
+        ids = self.ids()
         adj = E.dedup(
             self._real_edges().map_batches(
                 lambda t: _binarize(t), batch_format="pyarrow"
@@ -908,7 +911,7 @@ class RayGraph:
         union: W ∨ Wᵀ; intersection: keep only mutual links. ``reduction``
         resolves conflicting weights (max/min/sum/mean).
         """
-        ids = ids_dataset(self.edges)
+        ids = self.ids()
         real = self._real_edges().materialize()
         if method == "union":
             out = E.dedup(real.union(E.reverse(real)), keep=reduction)
@@ -982,13 +985,10 @@ class RayGraph:
         )
         # id universe per reference defaults: union/sym-diff → union of ids;
         # intersection/difference → ids of self (set_operations.py defaults).
-        # with_isolates dedups ids internally, so raw focal columns do.
+        # The node table drops repeated ids.
+        ids = self.ids()
         if mode in ("union", "symmetric_difference"):
-            ids = self.edges.select_columns(["focal"]).union(
-                other.edges.select_columns(["focal"])
-            )
-        else:
-            ids = self.edges.select_columns(["focal"])
+            ids = ids.union(other.ids())
         return RayGraph(out, ids=ids)
 
     def union_g(self, other: "RayGraph") -> "RayGraph":
@@ -1136,10 +1136,8 @@ class RayGraph:
         id — the WSP/scipy-interop export (weights.py sparse property;
         driver-side, small-layer: the 100 TB graph IS the edge Dataset)."""
         ids = np.sort(
-            np.array(
-                [r["focal"] for r in ids_dataset(self.edges).take_all()],
-                dtype=np.int64,
-            )
+            np.array([r["focal"] for r in self.ids().take_all()],
+                     dtype=np.int64)
         )
         rows, cols, data = [], [], []
         for b in E.canonical(self._real_edges()).iter_batches(
@@ -1558,7 +1556,7 @@ class RayGraph:
             )
             .materialize()
         )
-        nodes = ids_dataset(self.edges).map_batches(
+        nodes = self.ids().map_batches(
             lambda t: pa.table({"node": t.column("focal")}),
             batch_format="pyarrow",
         ).materialize()
@@ -1703,7 +1701,7 @@ class RayGraph:
             ray.data.aggregate.Sum("hop"),
             ray.data.aggregate.Sum("harm"),
         )
-        uni = ids_dataset(self.edges).map_batches(
+        uni = self.ids().map_batches(
             lambda t: pa.table({"node": t.column("focal")}),
             batch_format="pyarrow",
         )
@@ -1808,7 +1806,7 @@ class RayGraph:
                 "auth": pa.array(a),
             }))
 
-        nodes = ids_dataset(self.edges).map_batches(
+        nodes = self.ids().map_batches(
             lambda t: pa.table({"node": t.column("focal")}),
             batch_format="pyarrow",
         ).materialize()
@@ -1961,10 +1959,15 @@ class RayGraph:
             }))
 
         # ---- distributed Borůvka ----
-        # label universe = focal ∪ neighbor: on a non-isolate-resolved
-        # edge table a node seen only as neighbor must still get a label
-        # (the sides attach via INNER joins)
-        labels = all_ids_dataset(self.edges).map_batches(
+        # label universe = ids ∪ real neighbors: on a finished table a
+        # node seen only as neighbor must still get a label (the sides
+        # attach via INNER joins)
+        universe = self.ids().union(
+            _neighbors_as_focal(self._real_edges())
+        ).map_batches(_batch_unique_focal, batch_format="pyarrow")
+        labels = J.grouped_agg(
+            universe, ("focal",), (None,), "count"
+        ).map_batches(
             lambda t: pa.table({
                 "node": t.column("focal"),
                 "comp": t.column("focal"),
@@ -2127,8 +2130,7 @@ class RayGraph:
         the unweighted edge sets plus an id-universe check — both ways
         as anti-join emptiness probes on the id Datasets (no driver id
         sets: driver sees at most ONE row per probe)."""
-        a = ids_dataset(self.edges).materialize()
-        b = ids_dataset(other.edges).materialize()
+        a, b = self.ids(), other.ids()
         for left, right in ((a, b), (b, a)):
             extra = J.bucket_join(left, right, on="focal", how="anti")
             if extra.limit(1).count() != 0:
@@ -2143,7 +2145,7 @@ class RayGraph:
         out = J.pair_semi(
             self._real_edges(), keep.select_columns(["focal", "neighbor"])
         )
-        return RayGraph(out, ids=ids_dataset(self.edges))
+        return RayGraph(out, ids=self.ids())
 
     def subgraph(self, keep_ids) -> "RayGraph":
         """w_subset / Graph.subgraph (set_operations.py:337-386,
@@ -2225,9 +2227,7 @@ class RayGraph:
 
         new_edges = knn1.map_batches(_keep_iso, batch_format="pyarrow")
         out = E.dedup(self._real_edges().union(new_edges), keep="max")
-        return RayGraph(
-            out, ids=self.edges.select_columns(["focal"]),
-        )
+        return RayGraph(out, ids=self.ids())
 
     def fill_diagonal(
         self, value=1.0, id_col: str = "id", val_col: str = "value"
@@ -2238,7 +2238,7 @@ class RayGraph:
         Dataset with (id_col, val_col) — per-observation diagonal values,
         the reference's array variant (util.py:830-892 accepts a vector
         aligned to id_order)."""
-        ids = ids_dataset(self.edges)
+        ids = self.ids()
         no_diag = self.edges.filter(expr="focal != neighbor")
         if isinstance(value, (int, float)):
             diag = ids.map_batches(
@@ -2283,32 +2283,22 @@ class RayGraph:
     def eliminate_zeros(self) -> "RayGraph":
         """Drop zero-weight edges that are not isolate markers
         (base.py:2772-2793)."""
-        nz = self.edges.filter(expr="weight != 0.0")
-        return RayGraph(
-            nz, ids=self.edges.select_columns(["focal"]),
-        )
+        nz = self._real_edges().filter(expr="weight != 0.0")
+        return RayGraph(nz, ids=self.ids())
 
     # --------------------------------------------------------- descriptive
     def cardinalities(self) -> ray.data.Dataset:
-        """Dataset (focal, cardinality) — marker rows count as 0
-        (weights.py:747-756). One native sum-aggregate."""
-
-        def _flag(t: pa.Table) -> pa.Table:
-            f = t.column("focal").to_numpy(zero_copy_only=False)
-            n = t.column("neighbor").to_numpy(zero_copy_only=False)
-            w = t.column("weight").to_numpy(zero_copy_only=False)
-            real = ~((f == n) & (w == 0.0))
-            return pa.table(
-                {"focal": pa.array(f),
-                 "__real": pa.array(real.astype(np.int64))}
-            )
-
-        return (
-            self.edges.map_batches(_flag, batch_format="pyarrow")
-            .groupby("focal")
-            .sum("__real")
-            .rename_columns({"sum(__real)": "cardinality"})
-        )
+        """The node table: a materialized (focal, cardinality) Dataset,
+        one row per id, isolates 0 (weights.py:747-756). Built once per
+        graph by ``E.node_table`` and cached; the builder's pending id
+        plan is dropped once it is built."""
+        if self._nodes is None:
+            if self._real is None:
+                self._nodes = E.node_table(self._full)
+            else:
+                self._nodes = E.node_table(self._real, self._ids)
+                self._ids = None
+        return self._nodes
 
     def max_degree(self) -> int:
         """Largest real-edge count of any focal, 0 with no real edges —
@@ -2330,9 +2320,9 @@ class RayGraph:
         return int(deg.max("sum(cnt)") or 0)
 
     def isolates(self) -> ray.data.Dataset:
-        """Ids with no real edge, as a (focal,) Dataset: one map filters
-        and projects each block, so a block without isolates still
-        carries its schema."""
+        """Ids with no real edge, as a (focal,) Dataset: the node table's
+        cardinality-0 rows. One map filters and projects each block, so a
+        block without isolates still carries its schema."""
 
         def _iso(t: pa.Table) -> pa.Table:
             f = t.column("focal").to_numpy(zero_copy_only=False)
@@ -2773,7 +2763,7 @@ class RayGraph:
         (or ``force_distributed=True``) run the distributed frontier
         expansion: one bucket_join + one pair_anti cogroup per round —
         the same machinery higher_order keeps oracle-proven."""
-        ids = ids_dataset(self.edges).materialize()
+        ids = self.ids()
         adj = E.dedup(
             self._real_edges().map_batches(_binarize, batch_format="pyarrow")
         ).materialize()
@@ -3055,7 +3045,7 @@ class RayGraph:
             ).materialize()
 
         # nodes with no real edges (isolates) label themselves
-        all_ids = ids_dataset(self.edges)
+        all_ids = self.ids()
         if labels is None:
             labels = all_ids.map_batches(
                 lambda t: pa.table(
@@ -3282,7 +3272,8 @@ def ktruss(g, k: int, max_rounds: int = 64) -> ray.data.Dataset:
             return _truss_empty()
         if n_kept == e_count:
             break
-        edges, e_count = kept, n_kept
+        # re-block: each round's semi-join hands on more blocks than it got
+        edges, e_count = E.compact(kept), n_kept
     else:
         raise _truss_unconverged(max_rounds)
     return kept.map_batches(

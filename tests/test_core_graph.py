@@ -781,17 +781,14 @@ def test_ktruss_closed_forms(ray_session, monkeypatch):
     (_K4 + _PENDANT, 2),
     (_K4 + _PENDANT + _DIAMOND, 3),
 ], ids=["closed_form", "diamond"])
-def test_ktruss_execution_budget(ray_session, monkeypatch, pairs, rounds):
+def test_ktruss_execution_budget(ray_session, monkeypatch, executed_dags,
+                                 pairs, rounds):
     """On the distributed rounds (an edge set with no size bound), each
     peeling round runs two Dataset executions (``paths`` and the kept
     edges) on top of a fixed set-up: the dedup, the one id-range check
     and the consumer's execution of the output. The declared
     bucket_join schemas must be the ones the steps really produce."""
     import logging
-
-    from ray.data._internal.execution.streaming_executor import (
-        StreamingExecutor,
-    )
 
     from libpysal_ray.core import joins as J
     from libpysal_ray.core.graph import ktruss
@@ -816,14 +813,7 @@ def test_ktruss_execution_budget(ray_session, monkeypatch, pairs, rounds):
         return orig_declare(ds, schema)
 
     monkeypatch.setattr(J, "declare_schema", _declare)
-    calls = {"execute": 0, "packed": 0}
-    orig_execute = StreamingExecutor.execute
-
-    def _execute(self, *a, **k):
-        calls["execute"] += 1
-        return orig_execute(self, *a, **k)
-
-    monkeypatch.setattr(StreamingExecutor, "execute", _execute)
+    calls = {"packed": 0}
     orig_packed = J.pair_semi_packed
 
     def _packed(*a, **k):
@@ -842,7 +832,7 @@ def test_ktruss_execution_budget(ray_session, monkeypatch, pairs, rounds):
     logging.getLogger("ray.data").addHandler(handler)
     try:
         out = ktruss(g, 4).materialize()
-        execs = calls["execute"]
+        execs = len(executed_dags)
         for ds, schema in declared:
             assert ds.materialize().schema().base_schema == schema
     finally:
@@ -855,25 +845,16 @@ def test_ktruss_execution_budget(ray_session, monkeypatch, pairs, rounds):
     assert not warned, warned
 
 
-def test_ktruss_coalesced_runs_one_execution(ray_session, monkeypatch):
+def test_ktruss_coalesced_runs_one_execution(ray_session, executed_dags):
     """A provably small edge set peels in one task: the whole call plus
     the consumer's ``materialize()`` is one Dataset execution, and
     ``max_rounds`` still raises a ValueError at the call."""
     import logging
 
-    from ray.data._internal.execution.streaming_executor import (
-        StreamingExecutor,
-    )
-
     from libpysal_ray.core.graph import ktruss
 
     g = _graph(_K4 + _PENDANT + _DIAMOND)
-    calls = []
-    orig_execute = StreamingExecutor.execute
-    monkeypatch.setattr(
-        StreamingExecutor, "execute",
-        lambda self, *a, **k: calls.append(1) or orig_execute(self, *a, **k),
-    )
+    c0 = len(executed_dags)
     warned = []
 
     class _Warnings(logging.Handler):
@@ -887,7 +868,7 @@ def test_ktruss_coalesced_runs_one_execution(ray_session, monkeypatch):
         out = ktruss(g, 4).materialize()
     finally:
         logging.getLogger("ray.data").removeHandler(handler)
-    assert len(calls) == 1
+    assert len(executed_dags) - c0 == 1
     assert not warned, warned
     t4 = out.to_pandas()
     assert sorted(zip(t4["focal"], t4["neighbor"])) == sorted(_K4)
@@ -896,6 +877,44 @@ def test_ktruss_coalesced_runs_one_execution(ray_session, monkeypatch):
     with pytest.raises(ValueError, match="max_rounds=2"):
         ktruss(g, 4, max_rounds=2)
     assert ktruss(g, 4, max_rounds=3).count() == len(_K4)
+
+
+def test_ktruss_rounds_keep_few_blocks(ray_session, monkeypatch):
+    """The distributed rounds re-block the kept edges, so the semi-join's
+    key side stays at a few blocks however many rounds run; unblocked, it
+    had three times the blocks of the round before (1, 3, 9, 27, 81).
+
+    The rounds' own primitives run sharded here, as on an edge set too
+    big for one task: behind a marked size-expander alone they still
+    size their materialized inputs, run as single tasks and never grow
+    the block count. The test checks no schema warning, so it can pin the
+    small-input switch off for the whole call.
+    """
+    from libpysal_ray.core import joins as J
+    from libpysal_ray.core.graph import ktruss
+
+    # a seeded random symmetric graph (78 rows) whose 4-truss takes five
+    # rounds, the last one finding the fixpoint
+    rng = np.random.default_rng(277)
+    e = rng.integers(0, 16, (50, 2))
+    e = e[e[:, 0] != e[:, 1]]
+    e = np.unique(np.concatenate([e, e[:, ::-1]]), axis=0).astype(np.int64)
+    g = RayGraph.from_arrays(e[:, 0], e[:, 1])
+    monkeypatch.setattr(J, "SMALL_COGROUP_BYTES", -1)
+    blocks = []
+    orig_packed = J.pair_semi_packed
+
+    def _packed(paths, keys, *a, **k):
+        blocks.append(keys.materialize().num_blocks())
+        return orig_packed(paths, keys, *a, **k)
+
+    monkeypatch.setattr(J, "pair_semi_packed", _packed)
+    got = {(r["focal"], r["neighbor"], r["support"])
+           for r in ktruss(g, 4).take_all()}
+    assert got == _truss_reference(e[:, 0], e[:, 1], 4)
+    assert got
+    assert len(blocks) >= 5, blocks
+    assert max(blocks) <= 8, blocks
 
 
 def _random_truss_graph(seed, n_nodes=16, n_cliques=4, n_extra=10):

@@ -66,29 +66,14 @@ def test_kmeans_k_exceeds_n_raises():
 
 
 @pytest.mark.parametrize("fixed_scale", [None, 1 << 20])
-def test_kmeans_init_runs_no_sort(monkeypatch, fixed_scale):
+def test_kmeans_init_runs_no_sort(executed_dags, fixed_scale):
     """The init takes the k smallest ids per block and merges them on the
     driver: no executed plan contains a Sort."""
-    from ray.data._internal.execution.streaming_executor import (
-        StreamingExecutor,
-    )
-
     from libpysal_ray.ann.kmeans import kmeans_train
 
-    names = []
-    orig_execute = StreamingExecutor.execute
-
-    def _execute(self, dag, *a, **k):
-        stack = [dag]
-        while stack:
-            op = stack.pop()
-            names.append(op.name)
-            stack.extend(op.input_dependencies)
-        return orig_execute(self, dag, *a, **k)
-
-    monkeypatch.setattr(StreamingExecutor, "execute", _execute)
     x = _make(n=60, d=3)
     out = kmeans_train(_ds(x), k=4, n_iter=1, fixed_scale=fixed_scale)
     assert len(out.take_all()) == 4
+    names = [op.name for op in executed_dags.operators()]
     assert names
     assert not [n for n in names if "sort" in n.lower()], names

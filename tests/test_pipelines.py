@@ -134,32 +134,6 @@ def test_flagship_partial_resume(tmp_path):
     assert len(m2) == len(m1)
 
 
-def _executed_dags(monkeypatch) -> list:
-    """Record the physical plan of every Dataset execution."""
-    from ray.data._internal.execution.streaming_executor import (
-        StreamingExecutor,
-    )
-
-    dags = []
-    orig_execute = StreamingExecutor.execute
-
-    def _execute(self, dag, *a, **k):
-        dags.append(dag)
-        return orig_execute(self, dag, *a, **k)
-
-    monkeypatch.setattr(StreamingExecutor, "execute", _execute)
-    return dags
-
-
-def _operators(dag) -> list:
-    ops, stack = [], [dag]
-    while stack:
-        op = stack.pop()
-        ops.append(op)
-        stack.extend(op.input_dependencies)
-    return ops
-
-
 def _stage_rows(ds) -> dict:
     """Output rows per executed stage, from the Dataset's stats."""
     rows, stack = {}, [ds._plan.stats()]
@@ -172,22 +146,20 @@ def _stage_rows(ds) -> dict:
     return rows
 
 
-def test_flagship_runs_two_executions(monkeypatch):
+def test_flagship_runs_two_executions(executed_dags):
     """The salt-factor count and the main chain; the ingest projection
     runs no schema fetch."""
-    dags = _executed_dags(monkeypatch)
     assert len(flagship(SF).take_all()) > 0
-    assert len(dags) == 2
+    assert len(executed_dags) == 2
 
 
-def test_flagship_plan_has_no_actor_pool(monkeypatch):
+def test_flagship_plan_has_no_actor_pool(executed_dags):
     """The PIP join runs as map tasks fused with the neighbouring maps."""
     from ray.data._internal.execution.operators.actor_pool_map_operator \
         import ActorPoolMapOperator
 
-    dags = _executed_dags(monkeypatch)
     flagship(SF).take_all()
-    ops = [op for d in dags for op in _operators(d)]
+    ops = executed_dags.operators()
     assert any("_pip_task" in op.name for op in ops)
     assert not [op.name for op in ops
                 if isinstance(op, ActorPoolMapOperator)]
