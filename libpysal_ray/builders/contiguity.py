@@ -661,14 +661,201 @@ def _seg_pair_touch(ax, ay, bx, by, cx, cy, dx, dy):
     return touch, overlap
 
 
+def _segment_spans(t: pa.Table) -> pa.Table:
+    """Per-segment bbox and squared length: the inputs of the cell size."""
+    ax = t.column("ax").to_numpy(zero_copy_only=False)
+    ay = t.column("ay").to_numpy(zero_copy_only=False)
+    bx = t.column("bx").to_numpy(zero_copy_only=False)
+    by = t.column("by").to_numpy(zero_copy_only=False)
+    return pa.table(
+        {
+            "lx": pa.array(np.minimum(ax, bx)),
+            "hx": pa.array(np.maximum(ax, bx)),
+            "ly": pa.array(np.minimum(ay, by)),
+            "hy": pa.array(np.maximum(ay, by)),
+            "ln": pa.array((bx - ax) ** 2 + (by - ay) ** 2),
+        }
+    )
+
+
+def _strict_cell_size(
+    lo_x: float, hi_x: float, lo_y: float, hi_y: float,
+    mean_sq_len: float, n_segs: int,
+) -> float:
+    """Grid cell size of the strict filter from the w × h extent of the
+    segment bboxes, the mean squared segment length and the segment count:
+    ``max(2·RMS length, span/2^20, √(w·h/n_segs))``.
+
+    Cells sit at segment scale so each holds few segments. The area term
+    bounds replication: a segment's bbox lies inside the extent, so it
+    covers at most w·h/cs² ≤ n_segs cells, and unlike ``span/√n_segs`` it
+    does not assume a square extent (a long thin strip keeps
+    segment-scale cells). ``span/2^20`` keeps cell coordinates within the
+    21-bit tile packing. A zero-area extent falls back to 2·RMS length."""
+    w, h = hi_x - lo_x, hi_y - lo_y
+    span = max(w, h, 1e-300)
+    return max(
+        2.0 * mean_sq_len ** 0.5,
+        span / (1 << 20),
+        (w * h / max(n_segs, 1)) ** 0.5,
+    )
+
+
+def _segment_tiles(
+    t: pa.Table, lo_x: float, lo_y: float, cs: float
+) -> pa.Table:
+    """(poly, ax, ay, bx, by) → one row per grid cell a segment's bbox
+    covers, the cell packed as ``tile = x << 21 | y``."""
+    ax = t.column("ax").to_numpy(zero_copy_only=False)
+    ay = t.column("ay").to_numpy(zero_copy_only=False)
+    bx = t.column("bx").to_numpy(zero_copy_only=False)
+    by = t.column("by").to_numpy(zero_copy_only=False)
+    poly = t.column("poly").to_numpy(zero_copy_only=False)
+    cx0 = np.floor((np.minimum(ax, bx) - lo_x) / cs).astype(np.int64)
+    cx1 = np.floor((np.maximum(ax, bx) - lo_x) / cs).astype(np.int64)
+    cy0 = np.floor((np.minimum(ay, by) - lo_y) / cs).astype(np.int64)
+    cy1 = np.floor((np.maximum(ay, by) - lo_y) / cs).astype(np.int64)
+    nx = cx1 - cx0 + 1
+    ny = cy1 - cy0 + 1
+    reps = nx * ny
+    idx = np.repeat(np.arange(len(ax)), reps)
+    within = np.arange(int(reps.sum())) - np.repeat(
+        np.cumsum(reps) - reps, reps
+    )
+    tx = cx0[idx] + within % nx[idx]
+    ty = cy0[idx] + within // nx[idx]
+    tile = (tx << np.int64(21)) | ty
+    return pa.table(
+        {
+            "tile": pa.array(tile),
+            "poly": pa.array(poly[idx]),
+            "ax": pa.array(ax[idx]),
+            "ay": pa.array(ay[idx]),
+            "bx": pa.array(bx[idx]),
+            "by": pa.array(by[idx]),
+        }
+    )
+
+
+def _segment_tile_pairs(t: pa.Table) -> pa.Table:
+    """Tiled segments sorted by tile (each tile a contiguous run) → edge
+    rows for every touching segment pair of distinct polygons, both
+    orientations. Pair indices are generated per tile-SIZE class with one
+    broadcast each, then ONE vectorized predicate evaluation covers every
+    candidate pair."""
+    n = t.num_rows
+    if n == 0:
+        return E.empty_edges()
+    tile = t.column("tile").to_numpy(zero_copy_only=False)
+    poly = t.column("poly").to_numpy(zero_copy_only=False)
+    ax = t.column("ax").to_numpy(zero_copy_only=False)
+    ay = t.column("ay").to_numpy(zero_copy_only=False)
+    bx = t.column("bx").to_numpy(zero_copy_only=False)
+    by = t.column("by").to_numpy(zero_copy_only=False)
+    change = np.zeros(n, dtype=bool)
+    change[0] = True
+    change[1:] = tile[1:] != tile[:-1]
+    starts = np.flatnonzero(change)
+    sizes = np.diff(np.append(starts, n))
+    ii, jj = [], []
+    for m in np.unique(sizes):
+        if m < 2:
+            continue
+        s = starts[sizes == m]
+        base = s[:, None] + np.arange(m)[None, :]  # (G, m)
+        ii.append(np.repeat(base, m, axis=1).ravel())
+        jj.append(np.tile(base, (1, m)).ravel())
+    if not ii:
+        return E.empty_edges()
+    i = np.concatenate(ii)
+    j = np.concatenate(jj)
+    keep = poly[i] < poly[j]  # distinct polys, one orientation
+    i, j = i[keep], j[keep]
+    if len(i) == 0:
+        return E.empty_edges()
+    touch, overlap = _seg_pair_touch(
+        ax[i], ay[i], bx[i], by[i], ax[j], ay[j], bx[j], by[j]
+    )
+    # ONE predicate pass carries BOTH modes: weight 1 = point touch
+    # (strict queen), weight 2 = positive-length collinear overlap
+    # (strict rook; overlap ⊆ touch). The max-weight dedup keeps the max,
+    # so a pair overlapping via any segment pair ranks 2.
+    pi, pj = poly[i][touch], poly[j][touch]
+    if len(pi) == 0:
+        return E.empty_edges()
+    w = 1.0 + overlap[touch].astype(np.float64)
+    return E.edge_table(
+        np.concatenate([pi, pj]), np.concatenate([pj, pi]),
+        np.concatenate([w, w]),
+    )
+
+
+_segment_tile_pairs._size_expanding = True  # per-tile all-pairs emission
+
+_max_weight_agg = J._grouped_agg_batch(
+    ("focal", "neighbor"), ("weight",), "max"
+)
+
+
+def _max_weight_pairs(t: pa.Table) -> pa.Table:
+    """One edge row per (focal, neighbor) of ``t``, with its max weight."""
+    c = _max_weight_agg(t)
+    return pa.Table.from_arrays(
+        [c.column("focal"), c.column("neighbor"), c.column("max(weight)")],
+        schema=E.EDGE_SCHEMA,
+    )
+
+
+def _strict_task(segs: pa.Table) -> pa.Table:
+    """The whole strict pass over the FULL segment table in one task:
+    stats, cell size, tiling, the tile-pair predicate and the max-weight
+    dedup. Having seen every candidate pair, it needs no global dedup."""
+    s = _segment_spans(segs)
+    lx, hx, ly, hy, ln = (
+        s.column(c).to_numpy(zero_copy_only=False)
+        for c in ("lx", "hx", "ly", "hy", "ln")
+    )
+    lo_x, lo_y = float(lx.min()), float(ly.min())
+    cs = _strict_cell_size(
+        lo_x, float(hx.max()), lo_y, float(hy.max()), float(ln.mean()),
+        len(ln),
+    )
+    tiled = _segment_tiles(segs, lo_x, lo_y, cs)
+    order = np.argsort(
+        tiled.column("tile").to_numpy(zero_copy_only=False), kind="stable"
+    )
+    return _max_weight_pairs(_segment_tile_pairs(tiled.take(order)))
+
+
+_strict_task._size_expanding = True
+
+
 def strict_pairs(
     polygons: ray.data.Dataset,
 ) -> tuple[ray.data.Dataset, ray.data.Dataset]:
-    """Shared strict queen/rook plan: segment explode → bbox-tile shuffle
-    (cell size from a global stats aggregate) → per-tile vectorized
-    segment-pair predicate → pair dedup → (edges, ids). ONE pass serves
-    BOTH modes: edge weight 1 = point touch (queen), 2 = positive-length
-    collinear overlap (rook); callers memoize the materialized result.
+    """Shared strict queen/rook plan → (edges, ids): segment explode, a
+    grid filter (segments tiled into the cells their bboxes cover), the
+    exact vectorized segment-pair predicate within each cell, and a
+    max-weight pair dedup. ONE pass serves BOTH modes: edge weight 1 =
+    point touch (queen), 2 = positive-length collinear overlap (rook);
+    callers memoize the materialized result.
+
+    The cell size is :func:`_strict_cell_size`: segment scale, floored by
+    √(area/n_segs) of the segment extent, so one segment covers at most
+    n_segs cells. The result does not depend on it: two touching segments
+    have overlapping bboxes, and ``floor((v − lo)/cs)`` is monotone, so
+    they share at least one cell whatever ``cs`` is.
+
+    Two plans, chosen by the engine's small-input switch
+    (``joins._coalesced``) on the exploded segments:
+
+    * **One task** (a provable size bound): :func:`_strict_task` runs the
+      whole pass in numpy over the full segment table — one Dataset
+      execution, materialized here.
+    * **Sharded** (size unknown or large): the segments materialize, one
+      stats ``aggregate()`` fixes the cell size, ``grouped_by_key`` on the
+      tile runs the pair predicate per bucket, and a global max-weight
+      dedup merges pairs found in several buckets.
 
     This is the no-GEOS strict path: unlike the vertex/edge HASH builders
     it detects neighbors whose shared boundary has mismatched vertices
@@ -681,137 +868,29 @@ def strict_pairs(
     )
     segs = polygons.map_batches(
         _explode_segments_raw, batch_format="pyarrow"
-    ).materialize()
-
-    def _with_span(t: pa.Table) -> pa.Table:
-        ax = t.column("ax").to_numpy(zero_copy_only=False)
-        ay = t.column("ay").to_numpy(zero_copy_only=False)
-        bx = t.column("bx").to_numpy(zero_copy_only=False)
-        by = t.column("by").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "lx": pa.array(np.minimum(ax, bx)),
-                "hx": pa.array(np.maximum(ax, bx)),
-                "ly": pa.array(np.minimum(ay, by)),
-                "hy": pa.array(np.maximum(ay, by)),
-                "ln": pa.array((bx - ax) ** 2 + (by - ay) ** 2),
-            }
-        )
-
-    st = segs.map_batches(_with_span, batch_format="pyarrow").aggregate(
+    )
+    one = J._coalesced(segs, _strict_task)
+    if one is not None:
+        return one.materialize(), ids
+    segs = segs.materialize()
+    st = segs.map_batches(_segment_spans, batch_format="pyarrow").aggregate(
         Min("lx"), Max("hx"), Min("ly"), Max("hy"), Mean("ln"), Count()
     )
-    lo_x, hi_x = float(st["min(lx)"]), float(st["max(hx)"])
-    lo_y, hi_y = float(st["min(ly)"]), float(st["max(hy)"])
-    n_segs = int(st["count()"])
-    mean_len = float(st["mean(ln)"]) ** 0.5
-    span = max(hi_x - lo_x, hi_y - lo_y, 1e-300)
-    # cells ≈ segment scale, floored so the grid never exceeds ~2^21/axis
-    cs = max(2.0 * mean_len, span / (1 << 20), span / max(n_segs, 1) ** 0.5)
-
-    def _tiles(t: pa.Table) -> pa.Table:
-        ax = t.column("ax").to_numpy(zero_copy_only=False)
-        ay = t.column("ay").to_numpy(zero_copy_only=False)
-        bx = t.column("bx").to_numpy(zero_copy_only=False)
-        by = t.column("by").to_numpy(zero_copy_only=False)
-        poly = t.column("poly").to_numpy(zero_copy_only=False)
-        cx0 = np.floor((np.minimum(ax, bx) - lo_x) / cs).astype(np.int64)
-        cx1 = np.floor((np.maximum(ax, bx) - lo_x) / cs).astype(np.int64)
-        cy0 = np.floor((np.minimum(ay, by) - lo_y) / cs).astype(np.int64)
-        cy1 = np.floor((np.maximum(ay, by) - lo_y) / cs).astype(np.int64)
-        nx = cx1 - cx0 + 1
-        ny = cy1 - cy0 + 1
-        reps = nx * ny
-        idx = np.repeat(np.arange(len(ax)), reps)
-        within = np.arange(int(reps.sum())) - np.repeat(
-            np.cumsum(reps) - reps, reps
-        )
-        tx = cx0[idx] + within % nx[idx]
-        ty = cy0[idx] + within // nx[idx]
-        tile = (tx << np.int64(21)) | ty
-        return pa.table(
-            {
-                "tile": pa.array(tile),
-                "poly": pa.array(poly[idx]),
-                "ax": pa.array(ax[idx]),
-                "ay": pa.array(ay[idx]),
-                "bx": pa.array(bx[idx]),
-                "by": pa.array(by[idx]),
-            }
-        )
-
-    tiled = segs.map_batches(_tiles, batch_format="pyarrow")
-
-    def _tile_pairs(t: pa.Table) -> pa.Table:
-        """Per-bucket: tiles are contiguous runs (table arrives sorted by
-        tile). Pair indices are generated per tile-SIZE class with one
-        broadcast each, then ONE vectorized predicate evaluation covers
-        every candidate pair in the bucket."""
-        n = t.num_rows
-        if n == 0:
-            return E.empty_edges()
-        tile = t.column("tile").to_numpy(zero_copy_only=False)
-        poly = t.column("poly").to_numpy(zero_copy_only=False)
-        ax = t.column("ax").to_numpy(zero_copy_only=False)
-        ay = t.column("ay").to_numpy(zero_copy_only=False)
-        bx = t.column("bx").to_numpy(zero_copy_only=False)
-        by = t.column("by").to_numpy(zero_copy_only=False)
-        change = np.zeros(n, dtype=bool)
-        change[0] = True
-        change[1:] = tile[1:] != tile[:-1]
-        starts = np.flatnonzero(change)
-        sizes = np.diff(np.append(starts, n))
-        ii, jj = [], []
-        for m in np.unique(sizes):
-            if m < 2:
-                continue
-            s = starts[sizes == m]
-            base = s[:, None] + np.arange(m)[None, :]  # (G, m)
-            ii.append(np.repeat(base, m, axis=1).ravel())
-            jj.append(np.tile(base, (1, m)).ravel())
-        if not ii:
-            return E.empty_edges()
-        i = np.concatenate(ii)
-        j = np.concatenate(jj)
-        keep = poly[i] < poly[j]  # distinct polys, one orientation
-        i, j = i[keep], j[keep]
-        if len(i) == 0:
-            return E.empty_edges()
-        touch, overlap = _seg_pair_touch(
-            ax[i], ay[i], bx[i], by[i], ax[j], ay[j], bx[j], by[j]
-        )
-        # ONE predicate pass carries BOTH modes: weight 1 = point touch
-        # (strict queen), weight 2 = positive-length collinear overlap
-        # (strict rook; overlap ⊆ touch). The global dedup keeps the max,
-        # so a pair overlapping via any segment pair ranks 2.
-        pi, pj = poly[i][touch], poly[j][touch]
-        if len(pi) == 0:
-            return E.empty_edges()
-        w = 1.0 + overlap[touch].astype(np.float64)
-        return E.edge_table(
-            np.concatenate([pi, pj]), np.concatenate([pj, pi]),
-            np.concatenate([w, w]),
-        )
-
-    _tile_pairs._size_expanding = True  # per-tile all-pairs emission
-    pairs = grouped_by_key(tiled, ["tile"], _tile_pairs)
-    from libpysal_ray.core.joins import _grouped_agg_batch
-
-    combiner = _grouped_agg_batch(("focal", "neighbor"), ("weight",), "max")
-
-    def _combine(t: pa.Table) -> pa.Table:
-        c = combiner(t)
-        return pa.table({
-            "focal": c.column("focal"),
-            "neighbor": c.column("neighbor"),
-            "weight": c.column("max(weight)"),
-        })
-
+    lo_x, lo_y = float(st["min(lx)"]), float(st["min(ly)"])
+    cs = _strict_cell_size(
+        lo_x, float(st["max(hx)"]), lo_y, float(st["max(hy)"]),
+        float(st["mean(ln)"]), int(st["count()"]),
+    )
+    tiled = segs.map_batches(
+        _segment_tiles, fn_args=(lo_x, lo_y, cs), batch_format="pyarrow"
+    )
+    pairs = grouped_by_key(tiled, ["tile"], _segment_tile_pairs)
     # combined pairs materialize FIRST: the pair emission is a marked
     # size-expander and the dedup sort-aggregate would re-execute the
     # lazy emission chain per consumption pass
     edges = E.dedup(
-        pairs.map_batches(_combine, batch_format="pyarrow").materialize(),
+        pairs.map_batches(_max_weight_pairs, batch_format="pyarrow")
+        .materialize(),
         keep="max",
     ).materialize()
     return edges, ids

@@ -341,14 +341,15 @@ def knn_edges_with_dist(
     )
     import pyarrow.compute as pc
 
+    unresolved_focals = local.map_batches(
+        lambda t: pa.table({
+            "focal": t.filter(pc.invert(t.column("resolved")))
+            .column("focal").cast(pa.int64()),
+        }),
+        batch_format="pyarrow",
+    )
     unresolved_ds = (
-        local.map_batches(
-            lambda t: t.filter(pc.invert(t.column("resolved"))),
-            batch_format="pyarrow",
-        )
-        .select_columns(["focal"])
-        .groupby("focal")
-        .count()
+        J.grouped_agg(unresolved_focals, ("focal",), (None,), "count")
         .select_columns(["focal"])
         .materialize()
     )

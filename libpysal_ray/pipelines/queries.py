@@ -1845,38 +1845,44 @@ ORACLE_SQL["image_features"] = _oh.with_macros(_oa.IMAGE_FEATURES_SQL)
 ORACLE_SQL["flagship"] = _oa.FLAGSHIP_SQL
 
 # ------------------------------------------------- strict contiguity (r3)
+def _tjunction_table(ids: np.ndarray, B: int) -> pa.Table:
+    """The T-junction polygons of ``ids`` (int64): id < B is the bottom
+    rectangle [2j, 2j+2] x [0,1]; id >= B is the diamond whose bottom
+    vertex (2k+0.5, 1), k = id - B, sits in the INTERIOR of bottom k's top
+    edge. Five vertices (closed ring) per polygon."""
+    bottom = ids < B
+    u = 2.0 * np.where(bottom, ids, ids - B).astype(np.float64)
+    xs = u[:, None] + np.where(
+        bottom[:, None], [0.0, 2.0, 2.0, 0.0, 0.0], [0.5, 1.0, 0.5, 0.0, 0.5]
+    )
+    ys = np.where(
+        bottom[:, None], [0.0, 0.0, 1.0, 1.0, 0.0], [1.0, 1.5, 2.0, 1.5, 1.0]
+    )
+    off = pa.array(np.arange(0, 5 * len(ids) + 1, 5, dtype=np.int32))
+    return pa.table(
+        {
+            "polygon_id": pa.array(ids),
+            "xs": pa.ListArray.from_arrays(off, pa.array(xs.ravel())),
+            "ys": pa.ListArray.from_arrays(off, pa.array(ys.ravel())),
+        }
+    )
+
+
 def _tjunction_polys(sf_dir: str) -> ray.data.Dataset:
-    """Non-conforming T-junction layer from documents: doc_id < B=n//2 are
-    bottom rectangles [2j, 2j+2] x [0,1]; doc_id >= B are diamonds whose
-    bottom vertex (2k+0.5, 1) sits in the INTERIOR of bottom j=k's top
-    edge. No diamond/bottom vertex coincides, so the hash builders see no
-    cross-layer contact; the strict builders must find it (queen: point
-    touch; rook: none — the diamond contact is 0-dimensional)."""
+    """Non-conforming T-junction layer from documents
+    (:func:`_tjunction_table`, B = n//2). No diamond/bottom vertex
+    coincides, so the hash builders see no cross-layer contact; the strict
+    builders must find it (queen: point touch; rook: none — the diamond
+    contact is 0-dimensional)."""
     n = _docs(sf_dir, ["doc_id"]).count()
     B = n // 2
 
     def _mk(t: pa.Table) -> pa.Table:
-        ids = t.column("doc_id").to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
-        xs, ys = [], []
-        for i in ids:
-            if i < B:
-                j = float(i)
-                xs.append([2 * j, 2 * j + 2, 2 * j + 2, 2 * j, 2 * j])
-                ys.append([0.0, 0.0, 1.0, 1.0, 0.0])
-            else:
-                k = float(i - B)
-                xs.append(
-                    [2 * k + 0.5, 2 * k + 1, 2 * k + 0.5, 2 * k, 2 * k + 0.5]
-                )
-                ys.append([1.0, 1.5, 2.0, 1.5, 1.0])
-        return pa.table(
-            {
-                "polygon_id": pa.array(ids),
-                "xs": pa.array(xs, pa.list_(pa.float64())),
-                "ys": pa.array(ys, pa.list_(pa.float64())),
-            }
+        return _tjunction_table(
+            t.column("doc_id").to_numpy(zero_copy_only=False).astype(
+                np.int64
+            ),
+            B,
         )
 
     return _docs(sf_dir, ["doc_id"]).map_batches(_mk, batch_format="pyarrow")

@@ -7,6 +7,8 @@ queen/rook on a unit-square grid coverage must equal the closed-form
 lattice graph.
 """
 
+from collections import Counter
+
 import numpy as np
 import pyarrow as pa
 import pytest
@@ -282,6 +284,184 @@ def test_strict_queen_point_touch_is_not_rook():
     nr, _ = rook_strict(polys).neighbors_dict()
     assert set(nq[0]) == {1} and set(nq[1]) == {0}
     assert nr[0] == [] and nr[1] == []
+
+
+def _polys(pids, xs, ys):
+    return ray.data.from_arrow(pa.table({
+        "polygon_id": pa.array(pids, pa.int64()),
+        "xs": pa.array(xs, pa.list_(pa.float64())),
+        "ys": pa.array(ys, pa.list_(pa.float64())),
+    }))
+
+
+def _square(x0, y0, s=1.0):
+    return ([x0, x0 + s, x0 + s, x0, x0], [y0, y0, y0 + s, y0 + s, y0])
+
+
+def _diagonal_layer(n=24):
+    """A triangle whose long diagonal runs under a chain of unit squares,
+    each touching it at one corner (point touches), plus one square
+    sharing part of its base (collinear overlap). The long segments span
+    many grid cells, so one polygon pair is found in several cells."""
+    sq = [_square(k, k + 1) for k in range(n)] + [_square(2.5, -1.0)]
+    xs = [[0.0, float(n), float(n), 0.0]] + [s[0] for s in sq]
+    ys = [[0.0, float(n), 0.0, 0.0]] + [s[1] for s in sq]
+    return _polys(list(range(len(xs))), xs, ys)
+
+
+def _flat_layer():
+    """Zero-height extent: degenerate polygons on y = 0 (area 0)."""
+    xs = [[0.0, 2.0, 0.0], [1.0, 3.0, 1.0], [3.0, 4.0, 3.0], [6.0, 7.0, 6.0]]
+    return _polys([0, 1, 2, 3], xs, [[0.0] * 3] * 4)
+
+
+def _strip_layer():
+    from libpysal_ray.pipelines.queries import _tjunction_table
+
+    return ray.data.from_arrow(_tjunction_table(np.arange(40), 20))
+
+
+def _disjoint_layer():
+    a, b = _square(0.0, 0.0), _square(5.0, 5.0)
+    return _polys([0, 1], [a[0], b[0]], [a[1], b[1]])
+
+
+_STRICT_LAYERS = {
+    "grid": lambda: grid_coverage(4, 4),
+    "tjunction": lambda: _tjunction_layer(4),
+    "strip": _strip_layer,
+    "diagonal": _diagonal_layer,
+    "disjoint": _disjoint_layer,
+    "flat": _flat_layer,
+}
+
+
+def _table(ds) -> pa.Table:
+    return pa.concat_tables(ray.get(ds.to_arrow_refs()))
+
+
+def _strict_brute(polys) -> Counter:
+    """O(n²) reference: every segment pair of distinct polygons through
+    the exact predicate, max weight per polygon pair, both orientations."""
+    from libpysal_ray.builders.contiguity import (
+        _explode_segments_raw,
+        _seg_pair_touch,
+    )
+
+    s = _explode_segments_raw(_table(polys))
+    poly = s.column("poly").to_numpy()
+    ax, ay, bx, by = (s.column(c).to_numpy() for c in ("ax", "ay", "bx", "by"))
+    i, j = (v.ravel() for v in np.indices((len(poly), len(poly))))
+    i, j = i[poly[i] != poly[j]], j[poly[i] != poly[j]]
+    touch, overlap = _seg_pair_touch(
+        ax[i], ay[i], bx[i], by[i], ax[j], ay[j], bx[j], by[j]
+    )
+    best = {}
+    for f, n, w in zip(poly[i][touch], poly[j][touch], overlap[touch]):
+        key = (int(f), int(n))
+        best[key] = max(best.get(key, 0.0), 1.0 + float(w))
+    return Counter((f, n, w) for (f, n), w in best.items())
+
+
+def _edge_rows(ds) -> Counter:
+    return Counter(
+        (r["focal"], r["neighbor"], r["weight"]) for r in ds.take_all()
+    )
+
+
+@pytest.mark.parametrize("layer", list(_STRICT_LAYERS))
+def test_strict_pairs_paths_match_brute_force(layer, monkeypatch):
+    """The one-task plan and the sharded plan (every small-input switch
+    forced off) both equal the brute-force segment-pair reference."""
+    import libpysal_ray.core.joins as J
+    from libpysal_ray.builders.contiguity import strict_pairs
+    from libpysal_ray.core.edges import EDGE_SCHEMA
+
+    polys = _STRICT_LAYERS[layer]()
+    want = _strict_brute(polys)
+    one, _ = strict_pairs(polys)
+    assert one.schema().base_schema == EDGE_SCHEMA
+    assert _edge_rows(one) == want
+    monkeypatch.setattr(J, "SMALL_COGROUP_BYTES", -1)
+    sharded, _ = strict_pairs(polys)
+    assert _edge_rows(sharded) == want
+    if layer == "disjoint":
+        assert not want
+
+
+def _cell_size_of(t: pa.Table) -> tuple[float, float, int]:
+    """(cell size, RMS segment length, segment count) of a layer."""
+    from libpysal_ray.builders.contiguity import (
+        _explode_segments_raw,
+        _segment_spans,
+        _strict_cell_size,
+    )
+
+    s = _segment_spans(_explode_segments_raw(t))
+    lx, hx, ly, hy, ln = (
+        s.column(c).to_numpy() for c in ("lx", "hx", "ly", "hy", "ln")
+    )
+    cs = _strict_cell_size(
+        lx.min(), hx.max(), ly.min(), hy.max(), ln.mean(), len(ln)
+    )
+    return cs, float(ln.mean()) ** 0.5, len(ln)
+
+
+def test_strict_cell_size_follows_layer_area():
+    from libpysal_ray.builders.contiguity import _strict_cell_size
+    from libpysal_ray.pipelines.queries import _tjunction_table
+
+    # a 5000 x 2 strip: segment scale, not span/sqrt(n) = 35.4
+    cs, rms, n = _cell_size_of(_tjunction_table(np.arange(5000), 2500))
+    assert n == 20_000
+    assert cs == 2.0 * rms and 2.4 < cs < 2.5
+    # two unit squares at the corners of a 100 x 100 extent: the
+    # sqrt(area / n) floor
+    a, b = _square(0.0, 0.0), _square(99.0, 99.0)
+    cs, rms, n = _cell_size_of(_table(_polys([0, 1], [a[0], b[0]],
+                                             [a[1], b[1]])))
+    assert n == 8 and cs == (100.0 * 100.0 / 8) ** 0.5 > 2.0 * rms
+    # zero-area extent: 2·RMS length
+    assert _strict_cell_size(0.0, 10.0, 0.0, 0.0, 4.0, 5) == 4.0
+
+
+def test_strict_execution_budget(executed_dags):
+    from libpysal_ray.builders.contiguity import queen_strict, strict_pairs
+
+    polys = _tjunction_layer(8).materialize()
+    before = len(executed_dags)
+    strict_pairs(polys)
+    assert len(executed_dags) - before == 1
+    before = len(executed_dags)
+    queen_strict(polys)._real_edges().materialize()
+    assert len(executed_dags) - before <= 2
+
+
+def test_tjunction_table_matches_loop():
+    """The vectorized T-junction layer is bit-identical to the per-row
+    construction it replaced (the strict oracles depend on it)."""
+    from libpysal_ray.pipelines.queries import _tjunction_table
+
+    ids = np.array([7, 0, 5, 2, 9, 3], dtype=np.int64)
+    B = 5
+    xs, ys = [], []
+    for i in ids:
+        if i < B:
+            j = float(i)
+            xs.append([2 * j, 2 * j + 2, 2 * j + 2, 2 * j, 2 * j])
+            ys.append([0.0, 0.0, 1.0, 1.0, 0.0])
+        else:
+            k = float(i - B)
+            xs.append(
+                [2 * k + 0.5, 2 * k + 1, 2 * k + 0.5, 2 * k, 2 * k + 0.5]
+            )
+            ys.append([1.0, 1.5, 2.0, 1.5, 1.0])
+    want = pa.table({
+        "polygon_id": pa.array(ids),
+        "xs": pa.array(xs, pa.list_(pa.float64())),
+        "ys": pa.array(ys, pa.list_(pa.float64())),
+    })
+    assert _tjunction_table(ids, B).equals(want, check_metadata=True)
 
 
 def test_raster_k2_path_vs_window_nodata():

@@ -17,7 +17,7 @@ ALLOWED = {
     "ann/knn.py": 8,
     "builders/contiguity.py": 2,
     "builders/delaunay.py": 2,
-    "builders/distance.py": 3,
+    "builders/distance.py": 2,
     "builders/network.py": 2,
     "builders/raster.py": 5,
     "builders/sphere.py": 2,
