@@ -746,7 +746,7 @@ def emb_clusters(
     g = RayGraph(
         pairs.map_batches(_as_edges, batch_format="pyarrow"), ids=ids,
     )
-    _n, labels = g.n_components(max_driver_edges=0)
+    _n, labels = g.n_components()
     return labels.map_batches(
         lambda t: pa.table({
             id_col: t.column("focal"),
@@ -782,8 +782,8 @@ def dbscan_embeddings(
     (size-switched exact / LSH-banded — never all-pairs at scale);
     degrees are ONE groupby(id).count(); core flags attach back to the
     pair stream via bucket_joins (two semi-join passes); components run
-    through RayGraph's size-switched union-find / distributed min-label
-    propagation; border labels are ONE more bucket_join + groupby.min.
+    through RayGraph.n_components (one min-label task on a bounded graph,
+    local-contraction supersteps otherwise); border labels are ONE more bucket_join + groupby.min.
     No driver-side state beyond scalars."""
     from libpysal_ray.core import edges as E
     from libpysal_ray.core.graph import RayGraph

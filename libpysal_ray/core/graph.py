@@ -614,7 +614,6 @@ class RayGraph:
         attr_ids,
         attr_values=None,
         broadcast: bool = True,
-        num_partitions: int = 16,
         id_col: str = "id",
         val_col: str = "value",
     ) -> ray.data.Dataset:
@@ -831,7 +830,6 @@ class RayGraph:
         shortest_path: bool = True,
         lower_order: bool = False,
         diagonal: bool = False,
-        num_partitions: int = 16,
     ) -> "RayGraph":
         """k-order neighbors (semantics: weights/util.py:442-553,
         graph/base.py:2274-2355). Binary matrix powers re-expressed as k−1
@@ -1238,7 +1236,6 @@ class RayGraph:
         damping_pct: int = 85,
         base: int = 150_000_000_000,
         r0: int = 1_000_000_000_000,
-        max_driver_edges: int = 5_000_000,
     ) -> ray.data.Dataset:
         """Fixed-point INTEGER PageRank over the directed edge set:
         r_{t+1}(v) = base + damping_pct·(Σ_{u→v} r_t(u) // outdeg(u)) // 100
@@ -1250,40 +1247,43 @@ class RayGraph:
         nodes settle at ``base``; this is the deterministic fixed-point
         variant, not the stochastic-matrix normalization.
 
-        Size-switched like order()/n_components(): below
-        ``max_driver_edges`` the whole recurrence runs as an O(E)-per-
-        round numpy scatter-add on the driver (shuffle overhead would
-        dwarf a small graph); above it, the distributed path — the edge
-        table and out-degrees materialized ONCE, the rank state carries
-        the out-degree, so each round is one bucket_join (state onto
-        edges by source) + one groupby(dest) sum + one left join back
-        onto the node universe — TWO key shuffles + one aggregate, no
-        driver-side data. Both paths run the
-        IDENTICAL int64 recurrence. Returns (node, r)."""
+        Two paths, chosen by the small-input switch (``joins._coalesced``)
+        on the full edge table: with a size bound ONE task runs the whole
+        recurrence as an O(E)-per-round numpy scatter-add; without one,
+        the sharded path — the edge table and out-degrees materialized
+        ONCE, the rank state carries the out-degree, so each round is one
+        bucket_join (state onto edges by source) + one groupby(dest) sum
+        + one left join back onto the node universe — TWO key shuffles +
+        one aggregate, no driver-side data. Both paths run the IDENTICAL
+        int64 recurrence. Returns (node, r)."""
         from libpysal_ray.core.joins import bucket_join
 
         if iters < 1:
             raise ValueError("iters must be >= 1")
-        if self._real_edges().count() <= max_driver_edges:
-            row, col, _data, ids = self.to_coo()
-            n = len(ids)
-            deg_d = np.bincount(row, minlength=n).astype(np.int64)
-            indeg = np.bincount(col, minlength=n)
-            self._pagerank_check_bounds(
-                iters, int(damping_pct), int(base), int(r0),
-                int(indeg.max()) if n else 0,
-            )
-            r = np.full(n, int(r0), dtype=np.int64)
-            dp0 = int(damping_pct)
+        dp, b0, rr0 = int(damping_pct), int(base), int(r0)
+
+        def _task(t: pa.Table) -> pa.Table:
+            ids, row, col, known, nbr = _real_positions(t)
+            try:
+                RayGraph._pagerank_check_bounds(
+                    iters, dp, b0, rr0, _max_count(nbr))
+            except ValueError as e:
+                return _task_error(e)
+            deg = np.bincount(row, minlength=len(ids)).astype(np.int64)
+            row, col = row[known], col[known]
+            r = np.full(len(ids), rr0, dtype=np.int64)
             for _ in range(iters):
-                c = r // np.maximum(deg_d, 1)
-                s = np.zeros(n, dtype=np.int64)
+                c = r // np.maximum(deg, 1)
+                s = np.zeros(len(ids), dtype=np.int64)
                 np.add.at(s, col, c[row])
-                r = self._pagerank_damp(s, dp0, int(base))
-            return ray.data.from_arrow(pa.table({
-                "node": pa.array(ids),
-                "r": pa.array(r),
-            }))
+                r = RayGraph._pagerank_damp(s, dp, b0)
+            return pa.table({"node": pa.array(ids), "r": pa.array(r)})
+
+        small = _one_task(self.edges, _task, pa.table({
+            "node": pa.array([], pa.int64()), "r": pa.array([], pa.int64()),
+        }))
+        if small is not None:
+            return small
         edges = (
             self._real_edges()
             .map_batches(
@@ -1299,20 +1299,15 @@ class RayGraph:
             }),
             batch_format="pyarrow",
         ).materialize()
-        indeg_rows = (
-            edges.groupby("neighbor").count().max("count()")
-        )
         self._pagerank_check_bounds(
-            iters, int(damping_pct), int(base), int(r0),
-            int(indeg_rows or 0),
-        )
+            iters, dp, b0, rr0, _max_in_degree(edges))
 
         def _init(t: pa.Table) -> pa.Table:
             return pa.table({
                 "node": t.column("node"),
                 "d": t.column("d"),
                 "r": pa.array(
-                    np.full(t.num_rows, int(r0), dtype=np.int64)
+                    np.full(t.num_rows, rr0, dtype=np.int64)
                 ),
             })
 
@@ -1327,7 +1322,6 @@ class RayGraph:
             }),
             batch_format="pyarrow",
         ).materialize()
-        dp = int(damping_pct)
         for _ in range(iters):
             contrib = bucket_join(edges, state, on="focal").map_batches(
                 lambda t: pa.table({
@@ -1354,7 +1348,7 @@ class RayGraph:
                     "focal": t.column("node"),
                     "d": t.column("d"),
                     "r": pa.array(
-                        RayGraph._pagerank_damp(s, dp, int(base))
+                        RayGraph._pagerank_damp(s, dp, b0)
                     ),
                 })
 
@@ -1369,13 +1363,7 @@ class RayGraph:
             batch_format="pyarrow",
         )
 
-    def seed_distance(
-        self,
-        seeds,
-        kmax: int = 3,
-        max_driver_edges: int = 5_000_000,
-        force_distributed: bool = False,
-    ) -> ray.data.Dataset:
+    def seed_distance(self, seeds, kmax: int = 3) -> ray.data.Dataset:
         """Multi-source BFS hop distance to the nearest seed (the
         TrustRank-style 'distance from a trusted/spam seed set'
         primitive), bounded to ``kmax`` hops: rows (node, dist) for
@@ -1383,63 +1371,53 @@ class RayGraph:
         ``seeds`` is a numpy int64 array of node ids, a Python
         sequence, or a single-column Dataset.
 
-        Size-switched: a driver frontier BFS under ``max_driver_edges``;
-        above it (or forced), per round ONE frontier⋈edges bucket_join
-        (frontier is the small side) + an anti-join against the seen
-        set + a dedup — the :meth:`order` frontier machinery pointed at
-        one source set instead of all-pairs."""
+        Two paths, chosen by the small-input switch (``joins._coalesced``)
+        on the real edges: with a size bound ONE task runs a vectorized
+        frontier BFS in numpy; without one, per round ONE frontier⋈edges
+        bucket_join (frontier is the small side) + an anti-join against
+        the seen set + a dedup — the :meth:`order` frontier machinery
+        pointed at one source set instead of all-pairs."""
         from libpysal_ray.core.joins import bucket_join
 
         if isinstance(seeds, ray.data.Dataset):
             name = seeds.schema().base_schema.names[0]
-            seeds = np.array(
-                [r[name] for r in seeds.take_all()], dtype=np.int64
-            )
-        else:
-            seeds = np.asarray(sorted(set(int(s) for s in seeds)),
-                               dtype=np.int64)
+            seeds = [r[name] for r in seeds.take_all()]
+        seeds = np.unique(np.asarray(seeds, dtype=np.int64))
         if len(seeds) == 0:
             raise ValueError("seed_distance needs at least one seed")
+        at_seeds = pa.table({
+            "node": pa.array(seeds),
+            "dist": pa.array(np.zeros(len(seeds), np.int64)),
+        })
+
+        def _task(t: pa.Table) -> pa.Table:
+            f = t.column("focal").to_numpy(zero_copy_only=False)
+            n = t.column("neighbor").to_numpy(zero_copy_only=False)
+            nodes, inv = np.unique(np.concatenate([f, n, seeds]),
+                                   return_inverse=True)
+            fi, ni = inv[:len(f)], inv[len(f):len(f) + len(n)]
+            order = np.argsort(fi, kind="stable")
+            ptr = np.searchsorted(fi[order], np.arange(len(nodes) + 1))
+            nbr = ni[order]
+            dist = np.full(len(nodes), -1, np.int64)
+            frontier = np.unique(inv[len(f) + len(n):])
+            dist[frontier] = 0
+            for d in range(1, kmax + 1):
+                reach = nbr[_ranges(ptr[frontier], ptr[frontier + 1])]
+                frontier = np.unique(reach[dist[reach] < 0])
+                if len(frontier) == 0:
+                    break
+                dist[frontier] = d
+            hit = dist >= 0
+            return pa.table({"node": pa.array(nodes[hit]),
+                             "dist": pa.array(dist[hit])})
+
+        small = _one_task(self._real_edges(), _task, at_seeds)
+        if small is not None:
+            return small
         adj = E.dedup(
             self._real_edges().map_batches(_binarize, batch_format="pyarrow")
         ).materialize()
-        if not force_distributed and adj.count() <= max_driver_edges:
-            fs, ns = [], []
-            for b in adj.select_columns(["focal", "neighbor"]).iter_batches(
-                batch_format="pyarrow"
-            ):
-                fs.append(b.column("focal").to_numpy(zero_copy_only=False))
-                ns.append(b.column("neighbor").to_numpy(zero_copy_only=False))
-            f = (np.concatenate(fs) if fs else np.array([], np.int64)
-                 ).astype(np.int64)
-            n_ = (np.concatenate(ns) if ns else np.array([], np.int64)
-                  ).astype(np.int64)
-            dist = {int(s): 0 for s in seeds}
-            frontier = set(int(s) for s in seeds)
-            # adjacency as sorted arrays for vectorized expansion
-            order = np.argsort(f, kind="stable")
-            fo, no = f[order], n_[order]
-            for d in range(1, kmax + 1):
-                if not frontier:
-                    break
-                src = np.array(sorted(frontier), dtype=np.int64)
-                lo = np.searchsorted(fo, src, side="left")
-                hi = np.searchsorted(fo, src, side="right")
-                nbrs = np.concatenate(
-                    [no[a:b] for a, b in zip(lo, hi)]
-                ) if len(src) else np.array([], np.int64)
-                frontier = {
-                    int(v) for v in np.unique(nbrs) if int(v) not in dist
-                }
-                for v in frontier:
-                    dist[v] = d
-            ks = np.array(sorted(dist), dtype=np.int64)
-            return ray.data.from_arrow(pa.table({
-                "node": pa.array(ks),
-                "dist": pa.array(
-                    np.array([dist[int(k)] for k in ks], dtype=np.int64)
-                ),
-            }))
 
         def _lvl(ds: ray.data.Dataset, d: int) -> ray.data.Dataset:
             return ds.map_batches(
@@ -1490,12 +1468,7 @@ class RayGraph:
             out = out.union(o)
         return out
 
-    def label_propagation(
-        self,
-        iters: int = 3,
-        max_driver_edges: int = 5_000_000,
-        force_distributed: bool = False,
-    ) -> ray.data.Dataset:
+    def label_propagation(self, iters: int = 3) -> ray.data.Dataset:
         """Synchronous label-propagation community detection (Raghavan
         et al. 2007), DETERMINISTIC variant: labels start as node ids;
         each round every node adopts the most frequent label among its
@@ -1505,25 +1478,24 @@ class RayGraph:
         any layout and SQL-mirrored by unrolled CTEs). Nodes with no
         neighbors keep their own id. Returns (node, label).
 
-        Size-switched: a driver lexsort recurrence under
-        ``max_driver_edges``; above it (or forced), each round is ONE
-        labels⋈edges bucket_join + a (node,label) count + a per-node
-        max over the packed (count, ~label) priority — encoded as
-        count·2^32 + (2^32−1−label) so a single integer MAX implements
-        the (most-frequent, smallest-label) argmax. Requires label ids
-        < 2^31 (the dense-codec guarantee) and degree < 2^31."""
+        Two paths, chosen by the small-input switch (``joins._coalesced``)
+        on the full edge table: with a size bound ONE task runs a numpy
+        lexsort recurrence; without one, each round is ONE labels⋈edges
+        bucket_join + one per-node argmax over (count desc, label asc)
+        in a grouped kernel + a left join back onto the node universe.
+        Requires ids < 2^31 (the dense-codec guarantee) and degree
+        < 2^31."""
         from libpysal_ray.core.joins import bucket_join
 
         if iters < 1:
             raise ValueError("iters must be >= 1")
-        e_count = int(self._real_edges().count())
-        if not force_distributed and e_count <= max_driver_edges:
-            row, col, _data, ids = self.to_coo()
-            n = len(ids)
-            if n and ids.max() >= (1 << 31):
-                raise ValueError(
-                    "label_propagation needs ids < 2^31; remap first"
-                )
+
+        def _task(t: pa.Table) -> pa.Table:
+            ids, row, col, known, _nbr = _real_positions(t)
+            if ids.max() >= (1 << 31):
+                return _task_error(
+                    "label_propagation needs ids < 2^31; remap first")
+            row, col = row[known], col[known]
             lab_vals = ids.copy()  # label VALUE per node position
             for _ in range(iters):
                 nl = lab_vals[col]  # neighbor label values per edge
@@ -1541,11 +1513,17 @@ class RayGraph:
                 new = lab_vals.copy()
                 new[upd[:, 0]] = upd[:, 1]
                 lab_vals = new
-            return ray.data.from_arrow(pa.table({
+            return pa.table({
                 "node": pa.array(ids),
                 "label": pa.array(lab_vals),
-            }))
+            })
 
+        small = _one_task(self.edges, _task, pa.table({
+            "node": pa.array([], pa.int64()),
+            "label": pa.array([], pa.int64()),
+        }))
+        if small is not None:
+            return small
         if self.max_degree() >= (1 << 31):
             raise ValueError("label_propagation: degree >= 2^31")
         edges = (
@@ -1560,11 +1538,9 @@ class RayGraph:
             lambda t: pa.table({"node": t.column("focal")}),
             batch_format="pyarrow",
         ).materialize()
-        idmax = int(nodes.max("node") or 0)
-        if idmax >= (1 << 31):
+        if int(nodes.max("node") or 0) >= (1 << 31):
             raise ValueError(
-                "label_propagation needs ids < 2^31; remap first"
-            )
+                "label_propagation needs ids < 2^31; remap first")
         state = nodes.map_batches(
             lambda t: pa.table({
                 "node": t.column("node"), "label": t.column("node"),
@@ -1631,7 +1607,7 @@ class RayGraph:
                 on="node",
                 how="left",
             )
-            state = upd.map_batches(
+            state = J.unchained(upd.map_batches(
                 lambda t: pa.table({
                     "node": t.column("node"),
                     "label": pa.array(np.where(
@@ -1644,12 +1620,10 @@ class RayGraph:
                     )),
                 }),
                 batch_format="pyarrow",
-            ).materialize()
+            ))
         return state
 
-    def khop_centrality(
-        self, kmax: int = 3, **order_kwargs
-    ) -> ray.data.Dataset:
+    def khop_centrality(self, kmax: int = 3) -> ray.data.Dataset:
         """k-hop-bounded harmonic and closeness centrality, riding
         :meth:`order` (the shortest-path k-hop table): for every node,
         over the pairs first reachable within ``kmax`` hops,
@@ -1664,10 +1638,8 @@ class RayGraph:
         All sums exact int64; both floats are single pinned divisions of
         exact integer cross-products, SQL-mirrored. Nodes reaching
         nothing within kmax get all-zero rows. Requires n < 2^31 so
-        reached² fits int64 (raises otherwise). ``order_kwargs`` pass
-        through (e.g. ``force_distributed=True`` for the evidence
-        path). Returns (node, reached, hop_sum, harm_num, harm_f,
-        close_f)."""
+        reached² fits int64 (raises otherwise). Returns (node, reached,
+        hop_sum, harm_num, harm_f, close_f)."""
         import math
 
         n = self.n()
@@ -1684,7 +1656,7 @@ class RayGraph:
                 "khop_centrality: per-node products would overflow "
                 "int64 at this n; rescale or shard the id space"
             )
-        ord_ds = self.order(kmax=kmax, **order_kwargs)
+        ord_ds = self.order(kmax=kmax)
 
         def _parts(t: pa.Table) -> pa.Table:
             po = t.column("path_order").to_numpy(zero_copy_only=False)
@@ -1737,12 +1709,24 @@ class RayGraph:
 
         return joined.map_batches(_final, batch_format="pyarrow")
 
-    def hits_int(
-        self,
-        iters: int = 3,
-        h0: int = 1_000_000,
-        max_driver_edges: int = 5_000_000,
-    ) -> ray.data.Dataset:
+    @staticmethod
+    def _hits_check_bounds(
+        iters: int, h0: int, max_in: int, max_out: int
+    ) -> None:
+        """Exact unbounded-int growth bound BEFORE any int64 sum: raise
+        instead of letting a round wrap."""
+        hmax = int(h0)
+        for _ in range(iters):
+            amax = max_in * hmax
+            hmax = max_out * amax
+            if amax >= (1 << 62) or hmax >= (1 << 62):
+                raise ValueError(
+                    "hits_int would overflow int64: in/out-degree "
+                    f"bounds {max_in}x{max_out} over {iters} rounds "
+                    "exceed 2^62; reduce h0 or iters"
+                )
+
+    def hits_int(self, iters: int = 3, h0: int = 1_000_000) -> ray.data.Dataset:
         """Fixed-point INTEGER HITS (Kleinberg hubs/authorities) over
         the directed edge set, ``iters`` synchronous rounds from
         h_0 = ``h0``:
@@ -1758,16 +1742,44 @@ class RayGraph:
         Python ints and raises loudly instead of wrapping. Nodes with no
         in-edges hold authority 0, dangling nodes hub 0.
 
-        Size-switched like pagerank_int: a driver scatter-add recurrence
-        under ``max_driver_edges``; above it, each round is two
-        state⋈edges bucket_joins + two grouped sums + two node-universe
-        left joins — FOUR key shuffles, no driver-side data. Returns
-        (node, hub, auth)."""
+        Two paths like pagerank_int, chosen by the small-input switch
+        (``joins._coalesced``) on the full edge table: ONE numpy
+        scatter-add task with a size bound; without one, each round is
+        two state⋈edges bucket_joins + two grouped sums + two
+        node-universe left joins — FOUR key shuffles, no driver-side
+        data. Returns (node, hub, auth)."""
         from libpysal_ray.core.joins import bucket_join
 
         if iters < 1:
             raise ValueError("iters must be >= 1")
-        e_count = int(self._real_edges().count())
+
+        def _task(t: pa.Table) -> pa.Table:
+            ids, row, col, known, nbr = _real_positions(t)
+            try:
+                RayGraph._hits_check_bounds(
+                    iters, h0, _max_count(nbr), _max_count(row))
+            except ValueError as e:
+                return _task_error(e)
+            row, col = row[known], col[known]
+            h = np.full(len(ids), int(h0), dtype=np.int64)
+            for _ in range(iters):
+                a = np.zeros(len(ids), dtype=np.int64)
+                np.add.at(a, col, h[row])
+                h = np.zeros(len(ids), dtype=np.int64)
+                np.add.at(h, row, a[col])
+            return pa.table({
+                "node": pa.array(ids),
+                "hub": pa.array(h),
+                "auth": pa.array(a),
+            })
+
+        small = _one_task(self.edges, _task, pa.table({
+            "node": pa.array([], pa.int64()),
+            "hub": pa.array([], pa.int64()),
+            "auth": pa.array([], pa.int64()),
+        }))
+        if small is not None:
+            return small
         edges = (
             self._real_edges()
             .map_batches(
@@ -1776,35 +1788,8 @@ class RayGraph:
             )
             .materialize()
         )
-        max_out = int(edges.groupby("focal").count().max("count()") or 0)
-        max_in = int(edges.groupby("neighbor").count().max("count()") or 0)
-        # exact unbounded-int growth bound BEFORE any int64 sum
-        hmax = int(h0)
-        for _ in range(iters):
-            amax = max_in * hmax
-            hmax = max_out * amax
-            if amax >= (1 << 62) or hmax >= (1 << 62):
-                raise ValueError(
-                    "hits_int would overflow int64: in/out-degree "
-                    f"bounds {max_in}x{max_out} over {iters} rounds "
-                    "exceed 2^62; reduce h0 or iters"
-                )
-
-        if e_count <= max_driver_edges:
-            row, col, _data, ids = self.to_coo()
-            n = len(ids)
-            h = np.full(n, int(h0), dtype=np.int64)
-            a = np.zeros(n, dtype=np.int64)
-            for _ in range(iters):
-                a = np.zeros(n, dtype=np.int64)
-                np.add.at(a, col, h[row])
-                h = np.zeros(n, dtype=np.int64)
-                np.add.at(h, row, a[col])
-            return ray.data.from_arrow(pa.table({
-                "node": pa.array(ids),
-                "hub": pa.array(h),
-                "auth": pa.array(a),
-            }))
+        self._hits_check_bounds(
+            iters, h0, _max_in_degree(edges), self.max_degree())
 
         nodes = self.ids().map_batches(
             lambda t: pa.table({"node": t.column("focal")}),
@@ -1835,13 +1820,13 @@ class RayGraph:
                 batch_format="pyarrow",
             )
             joined = bucket_join(nodes, contrib, on="node", how="left")
-            return joined.map_batches(
+            return J.unchained(joined.map_batches(
                 lambda t, oc=out_col: pa.table({
                     "node": t.column("node"),
                     oc: pc.fill_null(pc.cast(t.column("s"), pa.int64()), 0),
                 }),
                 batch_format="pyarrow",
-            ).materialize()
+            ))
 
         hstate = nodes.map_batches(
             lambda t: pa.table({
@@ -1864,9 +1849,7 @@ class RayGraph:
             batch_format="pyarrow",
         )
 
-    def spanning_forest(
-        self, max_driver_edges: int = 5_000_000
-    ) -> ray.data.Dataset:
+    def spanning_forest(self) -> ray.data.Dataset:
         """Minimum spanning forest of the UNDIRECTED weighted graph —
         the base structure of single-linkage clustering and SKATER-style
         regionalization. Ties are broken by the total order
@@ -1875,14 +1858,15 @@ class RayGraph:
         at any cluster size. Returns canonical rows (focal < neighbor,
         weight); a spanning FOREST on disconnected graphs.
 
-        Size-switched: Kruskal + union-find on the driver below
-        ``max_driver_edges``; above it, distributed Borůvka — per round,
+        Two paths, chosen by the small-input switch (``joins._coalesced``)
+        on the real edges: with a size bound ONE task runs Kruskal +
+        union-find; without one, distributed Borůvka — per round,
         component labels attach to the edge ends (two bucket_joins),
         each component picks its minimum outgoing edge (ONE
         grouped-argmin shuffle), chosen edges dedup on the canonical
-        pair, and components merge through the size-switched
-        ``n_components`` on the (comp_a, comp_b) pseudoforest (≤ one
-        pair per component, halving each round — O(log n) rounds)."""
+        pair, and components merge through ``n_components`` on the
+        (comp_a, comp_b) pseudoforest (≤ one pair per component,
+        halving each round — O(log n) rounds)."""
         from libpysal_ray.core.joins import bucket_join, grouped_by_key
 
         def _canon(t: pa.Table) -> pa.Table:
@@ -1920,20 +1904,13 @@ class RayGraph:
                 "w": pa.array(w[sel]),
             })
 
-        und = grouped_by_key(
-            self._real_edges().map_batches(
-                _canon, batch_format="pyarrow"
-            ),
-            ["a"],
-            _pair_min,
-        ).materialize()
         out_schema = ("focal", "neighbor", "weight")
-        if und.count() <= max_driver_edges:
-            rows = und.take_all()
-            a = np.array([r["a"] for r in rows], dtype=np.int64)
-            b = np.array([r["b"] for r in rows], dtype=np.int64)
-            w = np.array([r["w"] for r in rows], dtype=np.float64)
-            order = np.lexsort((b, a, w))
+
+        def _task(t: pa.Table) -> pa.Table:
+            t = _pair_min(_canon(t))
+            a = t.column("a").to_numpy(zero_copy_only=False)
+            b = t.column("b").to_numpy(zero_copy_only=False)
+            w = t.column("w").to_numpy(zero_copy_only=False)
             parent: dict[int, int] = {}
 
             def find(x: int) -> int:
@@ -1944,19 +1921,29 @@ class RayGraph:
                     parent[x], x = r, parent[x]
                 return r
 
-            fa, fb, fw = [], [], []
-            for i in order:
+            keep = []
+            for i in np.lexsort((b, a, w)):
                 ra, rb = find(int(a[i])), find(int(b[i]))
                 if ra != rb:
                     parent[ra] = rb
-                    fa.append(int(a[i]))
-                    fb.append(int(b[i]))
-                    fw.append(float(w[i]))
-            return ray.data.from_arrow(pa.table({
-                out_schema[0]: pa.array(np.array(fa, dtype=np.int64)),
-                out_schema[1]: pa.array(np.array(fb, dtype=np.int64)),
-                out_schema[2]: pa.array(np.array(fw, dtype=np.float64)),
-            }))
+                    keep.append(i)
+            keep = np.array(keep, dtype=np.int64)
+            return pa.table({
+                out_schema[0]: pa.array(a[keep].astype(np.int64)),
+                out_schema[1]: pa.array(b[keep].astype(np.int64)),
+                out_schema[2]: pa.array(w[keep].astype(np.float64)),
+            })
+
+        small = _one_task(self._real_edges(), _task, E.empty_edges())
+        if small is not None:
+            return small
+        und = grouped_by_key(
+            self._real_edges().map_batches(
+                _canon, batch_format="pyarrow"
+            ),
+            ["a"],
+            _pair_min,
+        ).materialize()
 
         # ---- distributed Borůvka ----
         # label universe = ids ∪ real neighbors: on a finished table a
@@ -2106,11 +2093,7 @@ class RayGraph:
                 _compose, batch_format="pyarrow"
             ).materialize()
         if not chosen_parts:
-            return ray.data.from_arrow(pa.table({
-                out_schema[0]: pa.array([], pa.int64()),
-                out_schema[1]: pa.array([], pa.int64()),
-                out_schema[2]: pa.array([], pa.float64()),
-            }))
+            return ray.data.from_arrow(E.empty_edges())
         allp = chosen_parts[0]
         for p in chosen_parts[1:]:
             allp = allp.union(p)
@@ -2703,90 +2686,37 @@ class RayGraph:
             ),
         }))
 
-    @staticmethod
-    def _order_driver(f: np.ndarray, n: np.ndarray, kmax: int) -> ray.data.Dataset:
-        """Vectorized all-pairs BFS to depth kmax over packed uint64 pair
-        keys (requires ids in [0, 2^31)). Per round: CSR gather via
-        searchsorted/repeat, np.unique dedup, sorted-isin anti vs seen."""
-        srt = np.argsort(f, kind="stable")
-        fs_, ns_ = f[srt], n[srt]
-        uf = np.unique(f)
-        key = (f.astype(np.uint64) << np.uint64(32)) | n.astype(np.uint64)
-        diag = (uf.astype(np.uint64) << np.uint64(32)) | uf.astype(np.uint64)
-        seen = np.union1d(key, diag)
-        out_f, out_n, out_k = [f], [n], [np.ones(len(f), np.int64)]
-        cur_f, cur_n = f, n
-        for k in range(2, kmax + 1):
-            lo = np.searchsorted(fs_, cur_n, side="left")
-            hi = np.searchsorted(fs_, cur_n, side="right")
-            cnt = hi - lo
-            foc = np.repeat(cur_f, cnt)
-            # flat gather indices: lo[i] + (0..cnt[i]-1) for each i
-            base = np.repeat(lo, cnt)
-            step = np.arange(cnt.sum()) - np.repeat(
-                np.concatenate(([0], np.cumsum(cnt)[:-1])), cnt
-            )
-            nb = ns_[base + step]
-            cand = np.unique(
-                (foc.astype(np.uint64) << np.uint64(32)) | nb.astype(np.uint64)
-            )
-            new = cand[~np.isin(cand, seen, assume_unique=True, kind="sort")]
-            if len(new) == 0:
-                break
-            seen = np.union1d(seen, new)
-            cur_f = (new >> np.uint64(32)).astype(np.int64)
-            cur_n = (new & np.uint64(0xFFFFFFFF)).astype(np.int64)
-            out_f.append(cur_f)
-            out_n.append(cur_n)
-            out_k.append(np.full(len(new), k, np.int64))
-        return ray.data.from_arrow(pa.table({
-            "focal": pa.array(np.concatenate(out_f)),
-            "neighbor": pa.array(np.concatenate(out_n)),
-            "path_order": pa.array(np.concatenate(out_k)),
-        }))
-
-    def order(
-        self,
-        kmax: int = 3,
-        max_driver_edges: int = 5_000_000,
-        force_distributed: bool = False,
-    ) -> ray.data.Dataset:
+    def order(self, kmax: int = 3) -> ray.data.Dataset:
         """Shortest-path contiguity order up to ``kmax`` (util.py:339-397
         ``order`` / shimbel): Dataset (focal, neighbor, path_order) with
         path_order = k for pairs first reachable in exactly k hops.
 
-        Size-switched like :meth:`n_components`: graphs whose binarized
-        edge set fits under ``max_driver_edges`` (and whose ids fit in
-        [0, 2^31) — the dense codec guarantees this) run a vectorized
-        driver BFS over packed uint64 pair keys — the k-hop loop is pure
-        searchsorted/repeat/unique, no per-round shuffle. Larger graphs
-        (or ``force_distributed=True``) run the distributed frontier
-        expansion: one bucket_join + one pair_anti cogroup per round —
-        the same machinery higher_order keeps oracle-proven."""
+        Two paths, chosen by the small-input switch (``joins._coalesced``)
+        on the real edges: with a size bound ONE task runs a vectorized
+        BFS over packed pair keys (:func:`_order_pairs` — the k-hop loop
+        is pure searchsorted/repeat/unique, no per-round shuffle);
+        without one, the distributed frontier expansion: one bucket_join
+        + one pair_anti cogroup per round — the same machinery
+        higher_order keeps oracle-proven."""
+
+        def _task(t: pa.Table) -> pa.Table:
+            return _order_pairs(
+                t.column("focal").to_numpy(zero_copy_only=False),
+                t.column("neighbor").to_numpy(zero_copy_only=False),
+                kmax,
+            )
+
+        small = _one_task(self._real_edges(), _task, pa.table({
+            "focal": pa.array([], pa.int64()),
+            "neighbor": pa.array([], pa.int64()),
+            "path_order": pa.array([], pa.int64()),
+        }))
+        if small is not None:
+            return small
         ids = self.ids()
         adj = E.dedup(
             self._real_edges().map_batches(_binarize, batch_format="pyarrow")
         ).materialize()
-        if not force_distributed and adj.count() <= max_driver_edges:
-            fs, ns = [], []
-            for b in adj.select_columns(["focal", "neighbor"]).iter_batches(
-                batch_format="pyarrow"
-            ):
-                fs.append(b.column("focal").to_numpy(zero_copy_only=False))
-                ns.append(b.column("neighbor").to_numpy(zero_copy_only=False))
-            f = (np.concatenate(fs) if fs else np.array([], np.int64)).astype(np.int64)
-            n = (np.concatenate(ns) if ns else np.array([], np.int64)).astype(np.int64)
-            if len(f) == 0:
-                return ray.data.from_arrow(pa.table({
-                    "focal": pa.array([], pa.int64()),
-                    "neighbor": pa.array([], pa.int64()),
-                    "path_order": pa.array([], pa.int64()),
-                }))
-            lo = min(f.min(), n.min())
-            hi = max(f.max(), n.max())
-            if lo >= 0 and hi < 2**31:
-                return self._order_driver(f, n, kmax)
-            # ids outside the packable range: fall through to distributed
         diag = ids.map_batches(
             lambda t: pa.Table.from_arrays(
                 [t.column("focal"), t.column("focal"),
@@ -2846,81 +2776,55 @@ class RayGraph:
             out = out.union(o)
         return out
 
-    def n_components(self, max_driver_edges: int = 5_000_000) -> tuple[int, ray.data.Dataset]:
+    def n_components(self) -> tuple[int, ray.data.Dataset]:
         """(n_components, labels Dataset (focal, component)); the
         component label is the minimum node id of the component (both
         paths and the SQL oracle agree on this invariant).
 
-        Driver-side union-find streamed over edge batches for graphs up
-        to ``max_driver_edges``; above that the DISTRIBUTED path runs
-        iterative min-label propagation with pointer jumping
-        (label(i) ← label(label(i)) each round — O(log diameter) rounds),
-        converging when the monotone-decreasing global label sum stops
-        changing (one cheap aggregate per round, no compare join).
-        Reference semantics: scipy connected_components on CSR,
+        Two paths, chosen by the small-input switch (``joins._coalesced``)
+        on the full edge table (its isolate markers carry every id): with
+        a size bound ONE task runs the vectorized min-label fixpoint
+        (:func:`_min_labels`); without one, the local-contraction
+        supersteps of :meth:`_components_distributed`. Reference
+        semantics: scipy connected_components on CSR,
         weights.py:549-569.
         """
-        n_edges = self.edges.count()
-        if n_edges > max_driver_edges:
+
+        def _task(t: pa.Table) -> pa.Table:
+            lab = _min_labels(t)
+            return pa.table({"focal": lab.column("node"),
+                             "component": lab.column("root")})
+
+        labels = _one_task(self.edges, _task, pa.table({
+            "focal": pa.array([], pa.int64()),
+            "component": pa.array([], pa.int64()),
+        }))
+        if labels is None:
             return self._components_distributed()
-        parent: dict[int, int] = {}
+        ncomp = sum(ray.get(
+            [_root_count.remote(r) for r in labels.to_arrow_refs()]))
+        return ncomp, labels
 
-        def find(x: int) -> int:
-            r = x
-            while parent.get(r, r) != r:
-                r = parent[r]
-            while parent.get(x, x) != x:
-                parent[x], x = r, parent[x]
-            return r
-
-        cnt = 0
-        for batch in self.edges.iter_batches(batch_format="pyarrow"):
-            cnt += batch.num_rows
-            f = batch.column("focal").to_numpy(zero_copy_only=False)
-            n = batch.column("neighbor").to_numpy(zero_copy_only=False)
-            w = batch.column("weight").to_numpy(zero_copy_only=False)
-            for i in range(len(f)):
-                a_, b_ = int(f[i]), int(n[i])
-                parent.setdefault(a_, a_)
-                if (a_ == b_) and w[i] == 0.0:
-                    continue
-                parent.setdefault(b_, b_)
-                ra, rb = find(a_), find(b_)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-        labels = {x: find(x) for x in parent}
-        ncomp = len(set(labels.values()))
-        lab = ray.data.from_arrow(
-            pa.table(
-                {
-                    "focal": pa.array(list(labels.keys()), pa.int64()),
-                    "component": pa.array(list(labels.values()), pa.int64()),
-                }
-            )
-        )
-        return ncomp, lab
-
-    def _components_distributed(
-        self, single_block_limit: int = 4_000_000
-    ) -> tuple[int, ray.data.Dataset]:
+    def _components_distributed(self) -> tuple[int, ray.data.Dataset]:
         """Distributed connected components by LOCAL-CONTRACTION
         supersteps (the practical large-graph plan; cf. Kiveris et al.'s
         contraction family):
 
         per level: (1) each edge block runs an in-memory vectorized
-        min-label fixpoint (numpy ``minimum.at`` + pointer jumping — no
-        per-edge Python) emitting a (node → local component min) mapping;
-        (2) conflicting block-local roots reconcile through ONE
-        groupby(node).min; (3) edges contract through the mapping (two
-        bucket_joins) and self-loops/duplicates drop. Each level
-        collapses every within-block structure, so a handful of levels
-        resolve even adversarial graphs; once the surviving edge set fits
-        one block it is contracted in a single partition and the loop
-        ends. Final labels compose the per-level mappings back-to-front
-        with left bucket_joins (a root with no later entry is its own
-        component representative). The component label is the component's
-        minimum node id — the global minimum maps to itself at every
-        level, so composition preserves it."""
+        min-label fixpoint (:func:`_min_labels` — numpy ``minimum.at`` +
+        pointer jumping, no per-edge Python) emitting a (node → local
+        component min) mapping; (2) conflicting block-local roots
+        reconcile through ONE groupby(node).min; (3) edges contract
+        through the mapping (two bucket_joins) and self-loops/duplicates
+        drop. Each level collapses every within-block structure, so a
+        handful of levels resolve even adversarial graphs; once the
+        small-input switch (``joins._coalesced``) bounds the surviving
+        edge set, one task labels it and the loop ends. Final labels
+        compose the per-level mappings back-to-front with left
+        bucket_joins (a root with no later entry is its own component
+        representative). The component label is the component's minimum
+        node id — the global minimum maps to itself at every level, so
+        composition preserves it."""
         real = self._real_edges().select_columns(["focal", "neighbor"])
         und = real.union(
             real.rename_columns({"focal": "neighbor", "neighbor": "focal"})
@@ -2929,29 +2833,6 @@ class RayGraph:
             ncpu = int(ray.cluster_resources().get("CPU", 8))
         except Exception:
             ncpu = 8
-
-        def _local(t: pa.Table) -> pa.Table:
-            f = t.column("focal").to_numpy(zero_copy_only=False)
-            n = t.column("neighbor").to_numpy(zero_copy_only=False)
-            if len(f) == 0:
-                return pa.table({"node": pa.array([], pa.int64()),
-                                 "root": pa.array([], pa.int64())})
-            nodes, inv = np.unique(
-                np.concatenate([f, n]), return_inverse=True
-            )
-            fi, ni = inv[: len(f)], inv[len(f):]
-            lab = np.arange(len(nodes))
-            while True:
-                new = lab.copy()
-                np.minimum.at(new, fi, lab[ni])
-                np.minimum.at(new, ni, lab[fi])
-                new = new[new]  # pointer jump — logarithmic convergence
-                if (new == lab).all():
-                    break
-                lab = new
-            return pa.table(
-                {"node": pa.array(nodes), "root": pa.array(nodes[lab])}
-            )
 
         def _ren(ds: ray.data.Dataset, mapping: dict) -> ray.data.Dataset:
             # map_batches-based rename: Dataset.rename_columns is lazy and
@@ -2967,23 +2848,23 @@ class RayGraph:
         cur = und
         converged = False
         for _level in range(12):
-            cnt = cur.count()
-            if cnt == 0:
+            if cur.count() == 0:
                 converged = True
                 break
-            nparts = 1 if cnt <= single_block_limit else max(16, ncpu)
+            small = J._coalesced(cur, _min_labels)
+            if small is not None:
+                mappings.append(small.materialize())
+                converged = True
+                break
             mapping = (
-                cur.repartition(nparts)
-                .map_batches(_local, batch_format="pyarrow")
+                cur.repartition(max(16, ncpu))
+                .map_batches(_min_labels, batch_format="pyarrow")
                 .groupby("node")
                 .min("root")
                 .rename_columns({"min(root)": "root"})
                 .materialize()
             )
             mappings.append(mapping)
-            if nparts == 1:
-                converged = True
-                break
             # contract edges through the mapping, drop self/dup edges
             m_f = _ren(mapping, {"node": "focal", "root": "__rf"})
             m_n = _ren(mapping, {"node": "neighbor", "root": "__rn"})
@@ -3016,8 +2897,7 @@ class RayGraph:
             # supersteps cover any graph a sane partitioning produces.
             raise RuntimeError(
                 "distributed connected components did not converge in 12 "
-                "contraction supersteps; raise single_block_limit or "
-                "partition count"
+                "contraction supersteps"
             )
         # compose mappings back-to-front: labels(node) at level i follows
         # root into level i+1's labels; roots absent there are final
@@ -3109,6 +2989,135 @@ def _binarize(t: pa.Table) -> pa.Table:
     )
 
 
+def _task_error(msg) -> pa.Table:
+    """How a one-task kernel reports a ``ValueError``: a one-row
+    ``error`` table, which :func:`_one_task` raises at the call."""
+    return pa.table({"error": [str(msg)]})
+
+
+def _one_task(ds: ray.data.Dataset, kernel, empty: pa.Table):
+    """The graph algorithms' small path: ``kernel`` run as ONE task over
+    ``ds`` through the small-input switch (``joins._coalesced``),
+    materialized here so a kernel's error row raises at the call, as the
+    sharded path raises. ``empty`` is the result when ``ds`` has no rows
+    (Ray calls no map on an empty block). None when ``ds`` has no size
+    bound: the caller runs its sharded path."""
+    small = J._coalesced(ds, kernel)
+    if small is None:
+        return None
+    out = small.materialize()
+    schema = out.schema()
+    if schema is None:
+        return ray.data.from_arrow(empty)
+    if "error" in schema.names:
+        raise ValueError(out.take(1)[0]["error"])
+    return out
+
+
+@ray.remote
+def _root_count(t: pa.Table) -> int:
+    """A (focal, component) label block's component count: a component's
+    label is its own minimum id, so each has one row labelling itself."""
+    return int(pc.sum(pc.equal(t.column("focal"), t.column("component")))
+               .as_py() or 0)
+
+
+def _real_positions(t: pa.Table):
+    """A full edge table's ids (markers included, so isolates count) and
+    its real edges as positions into them: ``(ids, row, col, known,
+    nbr)``, ``nbr`` the real neighbor ids and ``known`` the edges whose
+    neighbor is an id — the sharded paths join state onto the id
+    universe, so an edge to any other neighbor carries nothing."""
+    f = t.column("focal").to_numpy(zero_copy_only=False)
+    n = t.column("neighbor").to_numpy(zero_copy_only=False)
+    w = t.column("weight").to_numpy(zero_copy_only=False)
+    ids = np.unique(f).astype(np.int64)
+    real = ~((f == n) & (w == 0.0))
+    f, n = f[real], n[real]
+    col = np.minimum(np.searchsorted(ids, n), len(ids) - 1)
+    return ids, np.searchsorted(ids, f), col, ids[col] == n, n
+
+
+def _max_count(x: np.ndarray) -> int:
+    """Largest multiplicity of any value of ``x``, 0 when empty."""
+    return int(np.unique(x, return_counts=True)[1].max()) if len(x) else 0
+
+
+def _max_in_degree(edges: ray.data.Dataset) -> int:
+    """Largest number of ``edges`` rows sharing a neighbor."""
+    deg = J.grouped_agg(edges, ("neighbor",), (None,), "count")
+    return int(deg.max("count()") or 0)
+
+
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(a, b) for a, b in zip(lo, hi)])``, vectorized."""
+    cnt = hi - lo
+    return np.repeat(lo - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
+
+
+def _order_pairs(f: np.ndarray, n: np.ndarray, kmax: int) -> pa.Table:
+    """All-pairs BFS to depth ``kmax`` over the pairs (f, n): rows
+    (focal, neighbor, path_order) for every pair first reachable in
+    exactly k hops. Ids compact through ``np.unique`` so every pair
+    packs into one uint64 key; per round a CSR gather
+    (searchsorted/repeat), np.unique dedup and a sorted-isin anti-join
+    against the seen keys."""
+    nodes, inv = np.unique(np.concatenate([f, n]), return_inverse=True)
+    sh = np.uint64(32)
+    key = np.unique((inv[:len(f)].astype(np.uint64) << sh)
+                    | inv[len(f):].astype(np.uint64))
+    f = (key >> sh).astype(np.int64)
+    n = (key & np.uint64(0xFFFFFFFF)).astype(np.int64)
+    ptr = np.searchsorted(f, np.arange(len(nodes) + 1))  # f is sorted
+    uf = np.unique(f).astype(np.uint64)
+    seen = np.union1d(key, (uf << sh) | uf)
+    out_f, out_n, out_k = [f], [n], [np.ones(len(f), np.int64)]
+    cur_f, cur_n = f, n
+    for k in range(2, kmax + 1):
+        cnt = ptr[cur_n + 1] - ptr[cur_n]
+        cand = np.unique((np.repeat(cur_f, cnt).astype(np.uint64) << sh)
+                         | n[_ranges(ptr[cur_n], ptr[cur_n + 1])]
+                         .astype(np.uint64))
+        new = cand[~np.isin(cand, seen, assume_unique=True, kind="sort")]
+        if len(new) == 0:
+            break
+        seen = np.union1d(seen, new)
+        cur_f = (new >> sh).astype(np.int64)
+        cur_n = (new & np.uint64(0xFFFFFFFF)).astype(np.int64)
+        out_f.append(cur_f)
+        out_n.append(cur_n)
+        out_k.append(np.full(len(new), k, np.int64))
+    return pa.table({
+        "focal": pa.array(nodes[np.concatenate(out_f)]),
+        "neighbor": pa.array(nodes[np.concatenate(out_n)]),
+        "path_order": pa.array(np.concatenate(out_k)),
+    })
+
+
+def _min_labels(t: pa.Table) -> pa.Table:
+    """(node, root): every endpoint of the edges (focal, neighbor) with
+    the minimum id of its connected component — a vectorized min-label
+    fixpoint (``np.minimum.at`` + pointer jumping, no per-edge
+    Python)."""
+    f = t.column("focal").to_numpy(zero_copy_only=False)
+    n = t.column("neighbor").to_numpy(zero_copy_only=False)
+    if len(f) == 0:
+        return pa.table({"node": pa.array([], pa.int64()),
+                         "root": pa.array([], pa.int64())})
+    nodes, inv = np.unique(np.concatenate([f, n]), return_inverse=True)
+    fi, ni = inv[: len(f)], inv[len(f):]
+    lab = np.arange(len(nodes))
+    while True:
+        new = lab.copy()
+        np.minimum.at(new, fi, lab[ni])
+        np.minimum.at(new, ni, lab[fi])
+        new = new[new]  # pointer jump — logarithmic convergence
+        if (new == lab).all():
+            break
+        lab = new
+    return pa.table({"node": pa.array(nodes), "root": pa.array(nodes[lab])})
+
+
 _WEDGE_IN = pa.schema([pa.field("focal", pa.int64()),
                        pa.field("mid", pa.int64())])
 _WEDGE_OUT = pa.schema([pa.field("mid", pa.int64()),
@@ -3120,15 +3129,17 @@ _KTRUSS_SCHEMA = pa.schema([pa.field("focal", pa.int64()),
                             pa.field("support", pa.int64())])
 
 
+_KCORE_SCHEMA = pa.schema([pa.field("node", pa.int64()),
+                           pa.field("deg", pa.int64())])
+
+
 def _truss_empty() -> ray.data.Dataset:
     return ray.data.from_arrow(_KTRUSS_SCHEMA.empty_table())
 
 
-def _truss_unconverged(max_rounds: int) -> ValueError:
-    return ValueError(
-        f"ktruss did not converge within max_rounds={max_rounds}; "
-        "raise the budget explicitly"
-    )
+def _truss_unconverged(max_rounds: int) -> str:
+    return (f"ktruss did not converge within max_rounds={max_rounds}; "
+            "raise the budget explicitly")
 
 
 def _ktruss_peel(f: np.ndarray, n: np.ndarray, need: int,
@@ -3169,9 +3180,7 @@ def _ktruss_peel(f: np.ndarray, n: np.ndarray, need: int,
                  pa.array(support)], schema=_KTRUSS_SCHEMA,
             )
         key = key[keep]
-    # not converged: ``ktruss`` reads this row off the materialized
-    # output and raises at the call, as the sharded path does
-    return pa.table({"unconverged": pa.array([max_rounds], pa.int64())})
+    return _task_error(_truss_unconverged(max_rounds))
 
 
 def ktruss(g, k: int, max_rounds: int = 64) -> ray.data.Dataset:
@@ -3212,16 +3221,10 @@ def ktruss(g, k: int, max_rounds: int = 64) -> ray.data.Dataset:
             k - 2, max_rounds, cap,
         )
 
-    small = J._coalesced(g._real_edges(), _peel_task)
+    small = _one_task(g._real_edges(), _peel_task,
+                      _KTRUSS_SCHEMA.empty_table())
     if small is not None:
-        out = small.materialize()
-        schema = out.schema()
-        # Ray does not call the task on an edgeless graph's empty block
-        if schema is None:
-            return _truss_empty()
-        if "unconverged" in schema.names:
-            raise _truss_unconverged(max_rounds)
-        return out
+        return small
     need = float(k - 2)
     edges = E.dedup(
         g._real_edges().map_batches(_binarize, batch_format="pyarrow")
@@ -3273,9 +3276,9 @@ def ktruss(g, k: int, max_rounds: int = 64) -> ray.data.Dataset:
         if n_kept == e_count:
             break
         # re-block: each round's semi-join hands on more blocks than it got
-        edges, e_count = E.compact(kept), n_kept
+        edges, e_count = J.unchained(E.compact(kept)), n_kept
     else:
-        raise _truss_unconverged(max_rounds)
+        raise ValueError(_truss_unconverged(max_rounds))
     return kept.map_batches(
         lambda t: pa.table({
             "focal": t.column("focal"),
@@ -3289,85 +3292,73 @@ def ktruss(g, k: int, max_rounds: int = 64) -> ray.data.Dataset:
     )
 
 
-def _kcore_driver(f: np.ndarray, n: np.ndarray, k: int) -> pa.Table:
-    """Exact k-core peel over int64 endpoint arrays of a SYMMETRIC edge
-    set (both directions present, so degree(v) = #rows with focal == v).
-    Vectorized: each round kills every current-degree-<k node at once
-    and decrements via one bincount over the dying directed edges."""
-    nodes = np.unique(np.concatenate([f, n])) if len(f) else np.array(
-        [], np.int64
-    )
-    if len(nodes) == 0:
-        return pa.table({
-            "node": pa.array([], pa.int64()),
-            "deg": pa.array([], pa.int64()),
-        })
-    fi = np.searchsorted(nodes, f)
-    ni = np.searchsorted(nodes, n)
-    deg = np.bincount(fi, minlength=len(nodes))
-    alive_node = np.ones(len(nodes), bool)
-    alive_edge = np.ones(len(f), bool)
-    while True:
-        kill = alive_node & (deg < k)
-        if not kill.any():
-            break
-        alive_node &= ~kill
-        dead = alive_edge & (kill[fi] | kill[ni])
-        deg -= np.bincount(fi[dead], minlength=len(nodes))
-        alive_edge &= ~dead
-    keep = alive_node & (deg >= k)
-    return pa.table({
-        "node": pa.array(nodes[keep]),
-        "deg": pa.array(deg[keep].astype(np.int64)),
-    })
+def _kcore_peel(f: np.ndarray, n: np.ndarray, k: int,
+                max_rounds: int) -> pa.Table:
+    """Synchronous k-core peel of the edge set (f, n) in numpy — the
+    same rounds as :func:`kcore`'s sharded path: each round an edge
+    survives iff both endpoints have degree ≥ k (degree = the node's
+    focal rows among the round's edges), and the peel ends when a round
+    drops nothing. Not converged within ``max_rounds``: an error row."""
+    nodes, inv = np.unique(np.concatenate([f, n]), return_inverse=True)
+    fi, ni = inv[:len(f)], inv[len(f):]
+    alive = np.ones(len(f), bool)
+    for _ in range(max_rounds):
+        deg = np.bincount(fi[alive], minlength=len(nodes))
+        ok = (deg >= k) & (deg > 0)  # a node with no focal row is absent
+        dead = alive & ~(ok[fi] & ok[ni])
+        if not dead.any():
+            keep = deg > 0
+            return pa.table({
+                "node": pa.array(nodes[keep]),
+                "deg": pa.array(deg[keep].astype(np.int64)),
+            })
+        alive &= ~dead
+        if not alive.any():
+            return _KCORE_SCHEMA.empty_table()
+    return _task_error(_kcore_unconverged(max_rounds))
 
 
-def kcore(
-    g,
-    k: int,
-    max_driver_edges: int = 5_000_000,
-    force_distributed: bool = False,
-    max_rounds: int = 256,
-) -> ray.data.Dataset:
+def _kcore_unconverged(max_rounds: int) -> str:
+    return (f"kcore did not converge within max_rounds={max_rounds}; "
+            "raise the budget explicitly")
+
+
+def kcore(g, k: int, max_rounds: int = 256) -> ray.data.Dataset:
     """k-core decomposition (fixed k): the maximal subgraph in which
     every node keeps degree ≥ k. Requires a symmetric (undirected)
     edge set, like the reference's contiguity/symmetrized graphs.
     Output (node, deg): core members with their within-core degrees,
     exact integers.
 
-    Size-switched like :meth:`RayGraph.order` / :meth:`n_components`:
-    under ``max_driver_edges`` the peel is one vectorized numpy pass on
-    the driver (no per-round shuffle at all). Above it (or with
-    ``force_distributed=True``) it peels synchronously on the EDGE set
-    — an edge survives a round iff BOTH endpoints had surviving degree
-    ≥ k; at the fixpoint the survivors are exactly the k-core. 100 TB
-    shape: per round ONE size-switched grouped count + one bucket_join
-    per endpoint (the degree table is the small side), edge set
-    re-materialized per round so Ray never replays the chain; rounds
-    are data-dependent (pathological path graphs peel O(n) times) —
-    ``max_rounds`` raises loudly instead of spinning."""
-    from libpysal_ray.core import joins as JJ
+    It peels synchronously on the EDGE set — an edge survives a round
+    iff BOTH endpoints had surviving degree ≥ k; at the fixpoint the
+    survivors are exactly the k-core. Rounds are data-dependent
+    (pathological path graphs peel O(n) times) — ``max_rounds`` raises
+    loudly instead of spinning. Two paths, chosen by the small-input
+    switch (``joins._coalesced``) on the real edges: with a size bound
+    ONE task runs the peel in numpy (:func:`_kcore_peel`); without one,
+    the 100 TB shape: per round ONE size-switched grouped count + one
+    bucket_join per endpoint (the degree table is the small side), the
+    edge set re-materialized per round so Ray never replays the
+    chain."""
 
+    def _task(t: pa.Table) -> pa.Table:
+        return _kcore_peel(
+            t.column("focal").to_numpy(zero_copy_only=False),
+            t.column("neighbor").to_numpy(zero_copy_only=False),
+            k, max_rounds,
+        )
+
+    small = _one_task(g._real_edges(), _task, _KCORE_SCHEMA.empty_table())
+    if small is not None:
+        return small
     edges = g._real_edges().map_batches(
         lambda t: t.select(["focal", "neighbor"]), batch_format="pyarrow"
     ).materialize()
     e_count = int(edges.count())
 
-    if not force_distributed and e_count <= max_driver_edges:
-        fs, ns = [], []
-        for b in edges.iter_batches(batch_format="pyarrow"):
-            fs.append(b.column("focal").to_numpy(zero_copy_only=False))
-            ns.append(b.column("neighbor").to_numpy(zero_copy_only=False))
-        f = (
-            np.concatenate(fs) if fs else np.array([], np.int64)
-        ).astype(np.int64)
-        n = (
-            np.concatenate(ns) if ns else np.array([], np.int64)
-        ).astype(np.int64)
-        return ray.data.from_arrow(_kcore_driver(f, n, k))
-
     def _deg(es: ray.data.Dataset) -> ray.data.Dataset:
-        return JJ.grouped_agg(es, ("focal",), (None,), "count").map_batches(
+        return J.grouped_agg(es, ("focal",), (None,), "count").map_batches(
             lambda t: pa.table({
                 "focal": t.column("focal"),
                 "__d": t.column("count()"),
@@ -3375,15 +3366,11 @@ def kcore(
             batch_format="pyarrow",
         )
 
-    _empty = pa.table({
-        "node": pa.array([], pa.int64()),
-        "deg": pa.array([], pa.int64()),
-    })
     if e_count == 0:
-        return ray.data.from_arrow(_empty)
+        return ray.data.from_arrow(_KCORE_SCHEMA.empty_table())
     for _ in range(max_rounds):
         deg = _deg(edges).materialize()
-        keepf = JJ.bucket_join(edges, deg, on="focal").map_batches(
+        keepf = J.bucket_join(edges, deg, on="focal").map_batches(
             lambda t: t.filter(
                 pc.greater_equal(t.column("__d"), k)
             ).drop_columns(["__d"]),
@@ -3395,7 +3382,7 @@ def kcore(
             }),
             batch_format="pyarrow",
         )
-        kept = JJ.bucket_join(keepf, nd, on="neighbor").map_batches(
+        kept = J.bucket_join(keepf, nd, on="neighbor").map_batches(
             lambda t: t.filter(
                 pc.greater_equal(t.column("__dn"), k)
             ).drop_columns(["__dn"]),
@@ -3403,15 +3390,12 @@ def kcore(
         ).materialize()
         n_kept = int(kept.count())
         if n_kept == 0:
-            return ray.data.from_arrow(_empty)
+            return ray.data.from_arrow(_KCORE_SCHEMA.empty_table())
         if n_kept == e_count:
             break
-        edges, e_count = kept, n_kept
+        edges, e_count = J.unchained(kept), n_kept
     else:
-        raise ValueError(
-            f"kcore did not converge within max_rounds={max_rounds}; "
-            "raise the budget explicitly"
-        )
+        raise ValueError(_kcore_unconverged(max_rounds))
     return _deg(edges).map_batches(
         lambda t: pa.table({
             "node": t.column("focal"),

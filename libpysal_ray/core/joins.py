@@ -18,6 +18,16 @@ to ONE block and one task runs the same kernel over the whole table —
 no shuffle stage. Unknown sizes always shuffle. Setting
 ``SMALL_COGROUP_BYTES = -1`` forces the sharded path for all four.
 
+The graph algorithms of ``core.graph`` (``pagerank_int``,
+``seed_distance``, ``label_propagation``, ``hits_int``,
+``spanning_forest``, ``order``, ``n_components``, ``kcore``, ``ktruss``)
+ask the same switch about their edge table: with a bound, the whole
+algorithm runs as one numpy task; without one, its sharded rounds run.
+They take no size knob of their own. A graph over edges behind a map
+marked ``_size_expanding`` (``pipelines.queries.unbounded_graph``) has
+no bound, which is how tests and the evidence queries pin the sharded
+path.
+
 **The ``_chain_size_upper`` contract.** The bound walks map-like ops
 (map, project, filter, union, limit, repartition) down to inputs whose
 size Ray's plan metadata knows (reads, materialized data) and assumes
@@ -137,6 +147,27 @@ def _coalesced(u: ray.data.Dataset, kernel, *sides: ray.data.Dataset):
     return u.repartition(1).map_batches(
         kernel, batch_size=None, batch_format="pyarrow"
     )
+
+
+def unchained(ds: ray.data.Dataset) -> ray.data.Dataset:
+    """``ds`` materialized, as a Dataset whose execution stats start
+    fresh: the same blocks, no stats parents. Every execution summarizes
+    its input's stats by walking all their parents, so an iterative loop
+    that carries each round's materialized result into the next round
+    carries it through this; otherwise each round's executions walk the
+    stats of every earlier round."""
+    from ray.data._internal.plan import ExecutionPlan
+    from ray.data._internal.stats import DatasetStats
+    from ray.data.dataset import MaterializedDataset
+
+    m = ds.materialize()
+    out = MaterializedDataset(
+        ExecutionPlan(DatasetStats(metadata={}, parent=None),
+                      data_context=m.context),
+        m._logical_plan,
+    )
+    out._plan.execute()  # no-op over the InputData blocks: marks it done
+    return out
 
 
 def _segments(keys, ties=()) -> tuple[np.ndarray, np.ndarray]:

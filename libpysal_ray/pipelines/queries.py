@@ -54,6 +54,25 @@ def _rook_g(sf_dir: str):
                  lambda: rook(_lattice_polys(sf_dir)).cache())
 
 
+def _identity(t: pa.Table) -> pa.Table:
+    return t
+
+
+_identity._size_expanding = True  # hides the input's size bound
+
+
+def unbounded_graph(edges: ray.data.Dataset):
+    """A finished graph over ``edges`` behind one identity map marked as
+    a size-expander: the small-input switch finds no size bound, so
+    every graph algorithm takes its sharded path — the input shape that
+    path gets at scale. The evidence queries (``pagerank_dist``,
+    ``hits_dist``, ``lpa_dist``, ``seed_dist_fd``, ``components_band``)
+    prove the sharded path against the oracle through it."""
+    from libpysal_ray.core.graph import RayGraph
+
+    return RayGraph(edges.map_batches(_identity, batch_format="pyarrow"))
+
+
 def _queen_g(sf_dir: str):
     return _memo(("queen", sf_dir),
                  lambda: queen(_lattice_polys(sf_dir)).cache())
@@ -871,10 +890,10 @@ def q_fingerprint(sf_dir: str):
 
 def q_components_band(sf_dir: str):
     """Connected components of distance_band(60): (focal, component) with
-    component = min node id. max_driver_edges=0 forces the DISTRIBUTED
-    min-label-propagation path (the 100 TB plan) even at test scale."""
+    component = min node id, on the sharded contraction path (the 100 TB
+    plan) even at test scale."""
     g = distance_band(_points(sf_dir), threshold=60.0, id_col="doc_id")
-    _n, labels = g.n_components(max_driver_edges=0)
+    _n, labels = unbounded_graph(g.edges).n_components()
     return labels
 
 
@@ -3813,10 +3832,10 @@ FROM base LEFT JOIN d USING (doc_id)
 
 
 def q_pagerank_dist(sf_dir: str):
-    """The SAME integer PageRank forced down the distributed path
-    (max_driver_edges=0) — evidence the Dataset recurrence is exact,
-    mirroring the delaunay/delaunay_dist pairing."""
-    return _rook_g(sf_dir).pagerank_int(iters=3, max_driver_edges=0)
+    """The SAME integer PageRank on the sharded path (a graph without a
+    size bound) — evidence the Dataset recurrence is exact, mirroring
+    the delaunay/delaunay_dist pairing."""
+    return unbounded_graph(_rook_g(sf_dir).edges).pagerank_int(iters=3)
 
 
 QUERIES["pagerank_dist"] = q_pagerank_dist
@@ -4323,7 +4342,7 @@ FROM e, d
 def q_mst(sf_dir: str):
     """Minimum spanning tree of the rook lattice weighted by attribute
     dissimilarity |n_chars_i - n_chars_j| — the SKATER regionalization
-    base structure. Size-switched Kruskal/distributed-Boruvka; verified
+    base structure. One-task Kruskal / sharded Boruvka; verified
     by an independent Prim's reference in pytest AND (r5) a full
     Kruskal-in-SQL oracle: a recursive CTE replays union-find one
     ranked edge per level (the strict (w, lo, hi) tie order makes the
@@ -6447,10 +6466,10 @@ FROM h3 JOIN a3 USING (node)
 
 
 def q_hits_dist(sf_dir: str):
-    """Forced-distributed HITS evidence path: the same 3-round integer
-    recurrence over per-round bucket_join + grouped-sum shuffles —
-    bit-equal to the driver recurrence and the unrolled SQL."""
-    return _rook_g(sf_dir).hits_int(iters=3, max_driver_edges=0)
+    """Sharded HITS evidence path: the same 3-round integer recurrence
+    over per-round bucket_join + grouped-sum shuffles — bit-equal to
+    the one-task recurrence and the unrolled SQL."""
+    return unbounded_graph(_rook_g(sf_dir).edges).hits_int(iters=3)
 
 
 QUERIES["hits_dist"] = q_hits_dist
@@ -6615,10 +6634,10 @@ SELECT node, label FROM l3
 
 
 def q_lpa_dist(sf_dir: str):
-    """Forced-distributed label propagation evidence path: per round
-    ONE labels-onto-edges bucket_join + a (node,label) grouped count +
-    one packed-priority max — bit-equal to the driver lexsort."""
-    return _rook_g(sf_dir).label_propagation(iters=3, force_distributed=True)
+    """Sharded label propagation evidence path: per round ONE
+    labels-onto-edges bucket_join + a per-node argmax kernel — bit-equal
+    to the one-task lexsort."""
+    return unbounded_graph(_rook_g(sf_dir).edges).label_propagation(iters=3)
 
 
 QUERIES["lpa_dist"] = q_lpa_dist
@@ -6671,9 +6690,9 @@ UNION ALL SELECT node, 3 FROM f3
 
 
 def q_seed_dist_fd(sf_dir: str):
-    """Forced-distributed seed-distance evidence path: per round one
-    semi-join frontier expansion + dedup + anti-join against the seen
-    set — bit-equal to the driver BFS."""
+    """Sharded seed-distance evidence path: per round one semi-join
+    frontier expansion + dedup + anti-join against the seen set —
+    bit-equal to the one-task BFS."""
     def _seeds(t: pa.Table) -> pa.Table:
         ids = t.column("doc_id").to_numpy(zero_copy_only=False)
         return pa.table({"node": pa.array(ids[ids % 97 == 0])})
@@ -6681,8 +6700,7 @@ def q_seed_dist_fd(sf_dir: str):
     seeds = _docs(sf_dir, ["doc_id"]).map_batches(
         _seeds, batch_format="pyarrow"
     )
-    return _rook_g(sf_dir).seed_distance(seeds, kmax=3,
-                                         force_distributed=True)
+    return unbounded_graph(_rook_g(sf_dir).edges).seed_distance(seeds, kmax=3)
 
 
 QUERIES["seed_dist_fd"] = q_seed_dist_fd

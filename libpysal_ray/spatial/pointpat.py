@@ -942,8 +942,8 @@ def percolation_profile(
     connectivity-transition summary for geometric random graphs.
 
     100 TB shape: one :func:`distance_band` tile build +
-    :meth:`n_components` (size-switched union-find / distributed
-    contraction) per radius — the per-radius labels reduce to ONE
+    :meth:`n_components` (one min-label task on a bounded graph,
+    contraction supersteps otherwise) per radius — the per-radius labels reduce to ONE
     grouped count and a max; nothing per-node reaches the driver."""
     from libpysal_ray.builders.distance import distance_band
 

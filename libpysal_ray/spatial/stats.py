@@ -955,8 +955,9 @@ def dissimilarity_edges(
     """Edge table reweighted by attribute dissimilarity |x_f − x_n| —
     the SKATER/single-linkage input. Attributes attach to both endpoints
     via bucket_joins (the module's standard plumbing — no driver-side
-    attribute table, no dense-id lookup array)."""
-    from libpysal_ray.core.joins import bucket_join
+    attribute table, no dense-id lookup array). Materialized, so a graph
+    over it has a size bound for the small-input switch."""
+    from libpysal_ray.core import joins as J
 
     ax = attrs.map_batches(
         lambda t: pa.table({
@@ -973,30 +974,35 @@ def dissimilarity_edges(
         }),
         batch_format="pyarrow",
     ).materialize()
-    edges = g._real_edges().map_batches(
-        lambda t: t.select(["focal", "neighbor"]), batch_format="pyarrow"
-    )
-    lhs = bucket_join(
+    # declared side schemas: bucket_join reads no schema by a limit(1)
+    # execution of these lazy maps
+    i64, f64 = pa.int64(), pa.float64()
+    edges = J.declare_schema(g._real_edges().map_batches(
+        lambda t: pa.table({"focal": t.column("focal").cast(i64),
+                            "neighbor": t.column("neighbor").cast(i64)}),
+        batch_format="pyarrow",
+    ), pa.schema([("focal", i64), ("neighbor", i64)]))
+    lhs = J.bucket_join(
         edges,
-        ax.map_batches(
+        J.declare_schema(ax.map_batches(
             lambda t: pa.table({
                 "focal": t.column("node"), "xf": t.column("xv"),
             }),
             batch_format="pyarrow",
-        ),
+        ), pa.schema([("focal", i64), ("xf", f64)])),
         on="focal",
     )
-    both = bucket_join(
-        lhs.map_batches(
+    both = J.bucket_join(
+        J.declare_schema(lhs.map_batches(
             lambda t: t.select(["focal", "neighbor", "xf"]),
             batch_format="pyarrow",
-        ),
-        ax.map_batches(
+        ), pa.schema([("focal", i64), ("neighbor", i64), ("xf", f64)])),
+        J.declare_schema(ax.map_batches(
             lambda t: pa.table({
                 "neighbor": t.column("node"), "xn": t.column("xv"),
             }),
             batch_format="pyarrow",
-        ),
+        ), pa.schema([("neighbor", i64), ("xn", f64)])),
         on="neighbor",
     )
 
@@ -1009,7 +1015,7 @@ def dissimilarity_edges(
             "weight": pa.array(np.abs(xf - xn)),
         })
 
-    return both.map_batches(_wt, batch_format="pyarrow")
+    return both.map_batches(_wt, batch_format="pyarrow").materialize()
 
 
 def skater_regions(

@@ -660,7 +660,7 @@ def near_dedup_survivors(
     g = RayGraph(
         pairs.map_batches(_as_edges, batch_format="pyarrow"), ids=ids,
     )
-    _n, labels = g.n_components(max_driver_edges=0)
+    _n, labels = g.n_components()
 
     def _decide(t: pa.Table) -> pa.Table:
         f = t.column("focal").to_numpy(zero_copy_only=False)

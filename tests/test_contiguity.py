@@ -326,6 +326,22 @@ def _disjoint_layer():
     return _polys([0, 1], [a[0], b[0]], [a[1], b[1]])
 
 
+def _long_edge_layer(n=60):
+    """Two n × 1 strips sharing the edge y = 1, a vertex every unit, one
+    polygon per input block: the sharded plan's tile shuffle spreads the
+    one polygon pair's ~n/2 cells over several output blocks, each
+    max-weight pass finds the pair again, and only the global dedup
+    leaves one row per orientation."""
+    xs, ys = [], []
+    for y0 in (0.0, 1.0):
+        side = np.arange(n + 1, dtype=np.float64)
+        xs.append(np.concatenate([side, side[::-1], [0.0]]).tolist())
+        ys.append(np.concatenate([np.full(n + 1, y0), np.full(n + 1, y0 + 1),
+                                  [y0]]).tolist())
+    t = _table(_polys([0, 1], xs, ys))
+    return ray.data.from_arrow([t.slice(0, 1), t.slice(1, 1)])
+
+
 _STRICT_LAYERS = {
     "grid": lambda: grid_coverage(4, 4),
     "tjunction": lambda: _tjunction_layer(4),
@@ -333,6 +349,7 @@ _STRICT_LAYERS = {
     "diagonal": _diagonal_layer,
     "disjoint": _disjoint_layer,
     "flat": _flat_layer,
+    "long_edge": _long_edge_layer,
 }
 
 

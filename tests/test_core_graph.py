@@ -17,7 +17,8 @@ import ray
 import ray.data
 
 from libpysal_ray.builders.lattice import lat2graph
-from libpysal_ray.core.graph import RayGraph
+from libpysal_ray.core.graph import RayGraph, kcore
+from libpysal_ray.pipelines.queries import unbounded_graph
 
 
 @pytest.fixture(scope="module")
@@ -378,7 +379,7 @@ def test_order_driver_distributed_parity():
     # rook lattice: shortest-path hop count == Manhattan distance
     g = lat2graph(6, 6, rook=True)
     drv = g.order(kmax=3).to_pandas()
-    dst = g.order(kmax=3, force_distributed=True).to_pandas()
+    dst = unbounded_graph(g.edges).order(kmax=3).to_pandas()
 
     def canon(df):
         return df.sort_values(["focal", "neighbor"]).reset_index(drop=True)
@@ -453,7 +454,7 @@ def test_pagerank_paths_agree(ray_session):
     g = lat2graph(5, 6, rook=False)
     drv = {r["node"]: r["r"] for r in g.pagerank_int(iters=2).take_all()}
     dist = {r["node"]: r["r"]
-            for r in g.pagerank_int(iters=2, max_driver_edges=0).take_all()}
+            for r in unbounded_graph(g.edges).pagerank_int(iters=2).take_all()}
     assert drv == dist
 
 
@@ -522,7 +523,7 @@ def test_spanning_forest_paths_agree_and_match_prim(ray_session):
     )
     dist = sorted(
         (r["focal"], r["neighbor"], r["weight"])
-        for r in g.spanning_forest(max_driver_edges=0).take_all()
+        for r in unbounded_graph(g.edges).spanning_forest().take_all()
     )
     # canonical undirected pairs keep the min weight per pair for Prim
     pairs = {}
@@ -557,7 +558,7 @@ def test_spanning_forest_line_graph(ray_session):
                  g.spanning_forest().take_all())
     assert got == [(0, 1), (1, 2), (2, 3)]
     got_d = sorted((r["focal"], r["neighbor"]) for r in
-                   g.spanning_forest(max_driver_edges=0).take_all())
+                   unbounded_graph(g.edges).spanning_forest().take_all())
     assert got_d == got
 
 
@@ -574,10 +575,9 @@ def test_spanning_forest_asymmetric_input(ray_session):
     assert got == [(0, 1, 1.0), (1, 2, 2.0)]
     # forced-distributed path must agree even when an endpoint appears
     # only in the neighbor column (label seed = focal UNION neighbor)
-    from libpysal_ray.core.graph import RayGraph as _RG
-    raw = _RG(g._real_edges())  # no isolate resolution
+    raw = unbounded_graph(g._real_edges())  # no isolate resolution
     got_d = sorted((r["focal"], r["neighbor"], r["weight"]) for r in
-                   raw.spanning_forest(max_driver_edges=0).take_all())
+                   raw.spanning_forest().take_all())
     assert got_d == got
 
 
@@ -607,13 +607,13 @@ def test_kcore_driver_and_distributed(ray_session):
     assert list(got["node"]) == [0, 1, 2, 3]
     assert list(got["deg"]) == [3, 3, 3, 3]
     # forced-distributed peel must agree exactly
-    got_d = kcore(g2, 3, force_distributed=True).to_pandas().sort_values(
+    got_d = kcore(unbounded_graph(g2.edges), 3).to_pandas().sort_values(
         "node"
     )
     assert list(got_d["node"]) == [0, 1, 2, 3]
     assert list(got_d["deg"]) == [3, 3, 3, 3]
     assert len(
-        kcore(g, 3, force_distributed=True).to_pandas()
+        kcore(unbounded_graph(g.edges), 3).to_pandas()
     ) == 0
 
 
@@ -638,7 +638,7 @@ def test_hits_int_driver_and_distributed(ray_session):
     assert got2[0] == (80, 0) and got2[3] == (50, 0)
     # forced-distributed path must agree exactly
     gd = {r["node"]: (r["hub"], r["auth"]) for r in
-          g.hits_int(iters=2, h0=10, max_driver_edges=0).take_all()}
+          unbounded_graph(g.edges).hits_int(iters=2, h0=10).take_all()}
     assert gd == got2
     # overflow pre-check raises loudly
     import pytest as _pt
@@ -666,7 +666,7 @@ def test_khop_centrality_closed_form(ray_session):
     assert np.isclose(out[1]["close_f"], 0.75)
     # distributed order path agrees
     outd = {r["node"]: r for r in
-            g.khop_centrality(kmax=3, force_distributed=True).take_all()}
+            unbounded_graph(g.edges).khop_centrality(kmax=3).take_all()}
     for k in out:
         assert out[k] == outd[k]
 
@@ -689,7 +689,7 @@ def test_label_propagation_two_cliques(ray_session):
     # round 2: 0:{l1=0,l2=0}->0, 1:{0->1,2->0}: labels {1,0}, counts 1,1
     # -> 0 ... deterministic; just assert the fixed outcome and parity
     outd = {r["node"]: r["label"] for r in
-            g.label_propagation(iters=3, force_distributed=True).take_all()}
+            unbounded_graph(g.edges).label_propagation(iters=3).take_all()}
     assert out == outd
     # hand-rolled reference recurrence
     ids = np.arange(6)
@@ -717,8 +717,8 @@ def test_seed_distance_path_graph(ray_session):
            g.seed_distance([0, 5], kmax=2).take_all()}
     assert out == {0: 0, 5: 0, 1: 1, 4: 1, 2: 2, 3: 2}
     outd = {r["node"]: r["dist"] for r in
-            g.seed_distance([0, 5], kmax=2,
-                            force_distributed=True).take_all()}
+            unbounded_graph(g.edges).seed_distance([0, 5],
+                                                   kmax=2).take_all()}
     assert outd == out
     # kmax=1 truncates
     out1 = {r["node"]: r["dist"] for r in
@@ -795,16 +795,10 @@ def test_ktruss_execution_budget(ray_session, monkeypatch, executed_dags,
 
     from libpysal_ray.core import edges as E
 
-    def _unbounded(t):
-        return t
-
-    # an edge set without a size bound (a lazy plan through a marked
-    # size-expander) takes the distributed rounds; the primitives inside
-    # them still size their own materialized inputs
-    _unbounded._size_expanding = True
+    # an edge set without a size bound takes the distributed rounds; the
+    # primitives inside them still size their own materialized inputs
     e = np.array(pairs, dtype=np.int64)
-    g = RayGraph(E.from_arrays(e[:, 0], e[:, 1]).map_batches(
-        _unbounded, batch_format="pyarrow"))
+    g = unbounded_graph(E.from_arrays(e[:, 0], e[:, 1]))
     declared = []
     orig_declare = J.declare_schema
 
@@ -1016,3 +1010,146 @@ def test_ktruss_empty_graph_both_paths(ray_session, monkeypatch):
         out = ktruss(g, 3)
         assert out.count() == 0
         assert out.schema().names == ["focal", "neighbor", "support"]
+
+
+# --------------------------------------------- the one small-input switch
+
+
+def _switch_graph(seed: int, off: int) -> RayGraph:
+    """A seeded graph with isolates (ids 30..34), self-loops and
+    zero-weight edges, every id shifted by ``off``."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.integers(0, 30, 60), rng.integers(0, 30, 60)
+    w = rng.integers(0, 4, 60).astype(np.float64)  # zeros included
+    f = np.concatenate([a, b, [3, 7]]) + np.int64(off)
+    n = np.concatenate([b, a, [3, 7]]) + np.int64(off)
+    return RayGraph.from_arrays(f, n, np.concatenate([w, w, [1.0, 2.0]]),
+                                ids=np.arange(35) + np.int64(off))
+
+
+def _rows(ds) -> list:
+    return sorted(map(tuple, ds.to_pandas().itertuples(index=False)))
+
+
+def _n_components_rows(g) -> list:
+    nc, labels = g.n_components()
+    return [nc] + _rows(labels)
+
+
+_SWITCHED = {
+    "pagerank_int": lambda g, off: _rows(g.pagerank_int(iters=3)),
+    "seed_distance": lambda g, off: _rows(
+        g.seed_distance([off, off + 9, off + 31], kmax=3)),
+    "label_propagation": lambda g, off: _rows(g.label_propagation(iters=3)),
+    "hits_int": lambda g, off: _rows(g.hits_int(iters=2, h0=10)),
+    "spanning_forest": lambda g, off: _rows(g.spanning_forest()),
+    "order": lambda g, off: _rows(g.order(kmax=3)),
+    "n_components": lambda g, off: _n_components_rows(g),
+    "kcore": lambda g, off: _rows(kcore(g, 3)),
+}
+
+
+@pytest.mark.parametrize("name, seed, off", [
+    pytest.param(name, seed, off, id=f"{name}-{ids}")
+    for name in sorted(_SWITCHED)
+    for seed, off, ids in ((5, 0, "small_ids"), (6, 1 << 33, "ids_past_2^32"))
+    if not (off and name == "label_propagation")  # needs ids < 2^31
+])
+def test_switched_algorithms_paths_agree(ray_session, monkeypatch, name,
+                                         seed, off):
+    """Each of the eight size-switched algorithms gives identical rows on
+    its one-task path (a bounded graph) and its sharded path (the same
+    edges without a size bound), and each path is the one it claims."""
+    from libpysal_ray.core import graph as G
+
+    took = []
+    orig = G._one_task
+
+    def _spy(*a, **k):
+        out = orig(*a, **k)
+        took.append(out is not None)
+        return out
+
+    monkeypatch.setattr(G, "_one_task", _spy)
+    g = _switch_graph(seed, off)
+    one = _SWITCHED[name](g, off)
+    assert took[:1] == [True]
+    took.clear()
+    sharded = _SWITCHED[name](unbounded_graph(g.edges), off)
+    assert took[:1] == [False]
+    assert len(one) > 1
+    assert one == sharded
+
+
+@pytest.mark.parametrize("path", ["one_task", "sharded"])
+def test_switched_errors_raise_at_the_call(ray_session, path):
+    """Input errors raise a plain ValueError at the call on both paths,
+    not an error wrapped by a Ray task."""
+    from libpysal_ray.core.graph import kcore
+
+    def pick(g):
+        return g if path == "one_task" else unbounded_graph(g.edges)
+
+    star = RayGraph.from_arrays([0, 0, 3], [1, 2, 1], 1.0, ids=np.arange(4))
+    with pytest.raises(ValueError, match="overflow"):
+        pick(star).hits_int(iters=40, h0=1 << 60)
+    with pytest.raises(ValueError, match="overflow"):
+        pick(star).pagerank_int(iters=3, r0=1 << 62)
+    big = np.int64(1 << 31)
+    pair = RayGraph.from_arrays([big, big + 1], [big + 1, big], 1.0)
+    with pytest.raises(ValueError, match="ids < 2\\^31"):
+        pick(pair).label_propagation(iters=2)
+    # a symmetric path peels from both ends, one round per hop
+    path6 = RayGraph.from_arrays([0, 1, 1, 2, 2, 3, 3, 4, 4, 5],
+                                 [1, 0, 2, 1, 3, 2, 4, 3, 5, 4], 1.0)
+    with pytest.raises(ValueError, match="max_rounds=1"):
+        kcore(pick(path6), 2, max_rounds=1)
+    assert kcore(pick(path6), 2).count() == 0
+
+
+def _rng87_edges():
+    """128 symmetric rows over 20 nodes (70 seeded draws, self-pairs
+    dropped): several peeling rounds for ktruss and kcore."""
+    from libpysal_ray.core import edges as E
+
+    rng = np.random.default_rng(87)
+    a, b = rng.integers(0, 20, 70), rng.integers(0, 20, 70)
+    keep = a != b
+    return E.from_arrays(np.concatenate([a[keep], b[keep]]),
+                         np.concatenate([b[keep], a[keep]]))
+
+
+@pytest.mark.parametrize("name", ["ktruss", "kcore", "label_propagation",
+                                  "hits_int"])
+def test_sharded_rounds_carry_no_stats_lineage(ray_session, monkeypatch,
+                                               name):
+    """The state a sharded round loop carries into the next round starts
+    without stats parents: the deepest stats chain of any Dataset the
+    call materializes is the same after one round as after three."""
+    from libpysal_ray.core.graph import kcore, ktruss
+
+    runs = {
+        "ktruss": lambda g, r: ktruss(g, 4, max_rounds=r),
+        "kcore": lambda g, r: kcore(g, 5, max_rounds=r),
+        "label_propagation": lambda g, r: g.label_propagation(iters=r),
+        "hits_int": lambda g, r: g.hits_int(iters=r, h0=1),
+    }
+    depths = []
+    orig = ray.data.Dataset.materialize
+
+    def _materialize(self):
+        out = orig(self)
+        depths.append(out._plan.stats().number)
+        return out
+
+    monkeypatch.setattr(ray.data.Dataset, "materialize", _materialize)
+
+    def deepest(rounds: int) -> int:
+        depths.clear()
+        try:  # fewer rounds than the peel needs raise; the depth counts
+            runs[name](unbounded_graph(_rng87_edges()), rounds).materialize()
+        except ValueError:
+            pass
+        return max(depths)
+
+    assert deepest(3) == deepest(1)

@@ -22,7 +22,7 @@ ALLOWED = {
     "builders/raster.py": 5,
     "builders/sphere.py": 2,
     "builders/triangulation.py": 1,
-    "core/graph.py": 14,
+    "core/graph.py": 11,
     "core/ids.py": 1,
     "core/joins.py": 4,
     "core/sketch.py": 3,

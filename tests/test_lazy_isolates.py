@@ -21,6 +21,7 @@ from libpysal_ray.builders.contiguity import rook
 from libpysal_ray.builders.distance import knn_edges_with_dist
 from libpysal_ray.core import edges as E
 from libpysal_ray.core.graph import RayGraph
+from libpysal_ray.pipelines.queries import unbounded_graph
 from libpysal_ray.sources.polygons import grid_coverage
 
 
@@ -163,12 +164,12 @@ def test_spanning_forest_labels_a_neighbor_only_id():
     g = _graph(f, n, w, given)
     assert 20 not in {int(r["focal"]) for r in g.ids().take_all()}
 
-    def forest(**kw):
+    def forest(h):
         return {(int(r["focal"]), int(r["neighbor"]), float(r["weight"]))
-                for r in g.spanning_forest(**kw).take_all()}
+                for r in h.spanning_forest().take_all()}
 
-    driver = forest()
-    assert forest(max_driver_edges=0) == driver
+    driver = forest(g)
+    assert forest(unbounded_graph(g.edges)) == driver
     assert (0, 20, 2.0) in driver
 
 

@@ -325,3 +325,44 @@ def test_isolate_graph_queries_emit_no_schemaless_block(name):
     finally:
         logging.getLogger("ray.data").removeHandler(handler)
     assert not warned, warned
+
+
+# Dataset executions of each query whose graph algorithm asks the
+# small-input switch, once the shared graphs are built (the second run)
+_SWITCHED_QUERY_EXECS = {
+    "order3": 1, "pagerank": 1, "hits": 1, "lpa": 1, "seed_dist": 3,
+    "kcore": 2, "mst": 3, "centrality3": 4,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SWITCHED_QUERY_EXECS))
+def test_switched_query_execution_budget(executed_dags, name):
+    from libpysal_ray.pipelines.queries import QUERIES
+
+    QUERIES[name](SF).materialize()
+    c0 = len(executed_dags)
+    QUERIES[name](SF).materialize()
+    assert len(executed_dags) - c0 <= _SWITCHED_QUERY_EXECS[name]
+
+
+@pytest.mark.parametrize("name", [
+    "pagerank_dist", "hits_dist", "lpa_dist", "seed_dist_fd",
+    "components_band",
+])
+def test_evidence_queries_take_the_sharded_path(monkeypatch, name):
+    # these queries exist to prove the sharded plans against the oracle:
+    # their graphs carry no size bound, so the switch never coalesces
+    from libpysal_ray.core import graph as G
+    from libpysal_ray.pipelines.queries import QUERIES
+
+    took = []
+    orig = G._one_task
+
+    def _spy(*a, **k):
+        out = orig(*a, **k)
+        took.append(out is not None)
+        return out
+
+    monkeypatch.setattr(G, "_one_task", _spy)
+    assert QUERIES[name](SF).materialize().count() > 0
+    assert took and not any(took), took

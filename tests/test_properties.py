@@ -9,6 +9,7 @@ import ray.data
 
 from libpysal_ray.core import edges as E
 from libpysal_ray.core.graph import RayGraph
+from libpysal_ray.pipelines.queries import unbounded_graph
 
 
 def _rand_graph(rng, n=30, m=80, weighted=False, ids_offset=0):
@@ -111,14 +112,15 @@ def test_components_both_paths_match_brute(ray_session):
     want = {i: find(i) for i in range(40)}
     nc_want = len(set(want.values()))
 
-    for mde in (5_000_000, 0):  # driver path / forced distributed path
-        nc, labels = g.n_components(max_driver_edges=mde)
+    # one-task path / sharded path
+    for path, h in (("one_task", g), ("sharded", unbounded_graph(g.edges))):
+        nc, labels = h.n_components()
         got = {
             int(r["focal"]): int(r["component"])
             for r in labels.take_all()
         }
-        assert nc == nc_want, mde
-        assert got == want, mde
+        assert nc == nc_want, path
+        assert got == want, path
 
 
 def test_lag_matches_dense_matmul(ray_session):
