@@ -947,10 +947,8 @@ def kernel(
 
         selfrows = bw_tbl.map_batches(_self_rows, batch_format="pyarrow")
         alledges = knn_e.union(selfrows)
-        from libpysal_ray.core.graph import BROADCAST_ROW_LIMIT
-
         bw_tbl = bw_tbl.materialize()
-        if bw_tbl.count() <= BROADCAST_ROW_LIMIT:
+        if J._small(bw_tbl):
             bw_pd = bw_tbl.to_pandas()
             withbw = J.broadcast_lookup(
                 alledges,

@@ -10,25 +10,44 @@ delegates the routing to a pandana-style engine (``nodes_in_range``,
 ``_network.py:56``) and repairs observations snapped to the same node via
 clique induction (``_network.py:117-131`` / ``graph/_utils.py:100-126``).
 
-Ray-Data-first design — three composable stages, no routing library:
+Ray-Data-first design — three stages, no routing library:
 
 * **snap** (:func:`snap_to_nodes`): cross-set nearest-neighbor via the
   same tile-shuffle used by the KNN builder (``builders/distance.py``):
   nodes are tiled with a one-ring halo, observations ride their home tile
   only, each tile resolves its observations against local+halo nodes with
   the distance-to-guaranteed-boundary coverage guard, and the unresolved
-  remainder is finished by a chunked-broadcast scan. ONE shuffle.
-* **route** (:func:`travel_cost_edges`): distributed multi-source bounded
-  Dijkstra as frontier relaxation — per round, join the frontier against
-  the edge table on the current node (one bucketed shuffle), drop paths
-  over ``threshold``, min-combine per (source, node), and merge into the
-  running best table, keeping only strictly-improved rows as the next
-  frontier. Rounds are bounded by the hop diameter within ``threshold``
-  (≤ threshold / min edge cost); a ``max_rounds`` guard raises instead of
-  returning silently-incomplete distances.
-* **assemble**: two bucketed joins map node-pair costs back through the
-  snap table to observation pairs; kernel evaluation is a stateless
-  per-batch map (``functions/kernels.py``).
+  remainder is finished by a chunked-broadcast scan and one per-id
+  min-merge. ONE shuffle.
+* **route** (:func:`travel_cost_edges`): multi-source bounded shortest
+  paths as synchronous frontier relaxation. A round expands the frontier
+  (the (src, node, dist) rows that improved last round) through the
+  out-edges of ``node``, drops paths over ``threshold``, min-combines per
+  (src, node) (:func:`_partial_min`), merges into the running best table
+  and hands on the strictly improved rows as the next frontier
+  (:func:`_merge`). Rounds are bounded by the hop diameter within
+  ``threshold`` (≤ threshold / min edge cost); a ``max_rounds`` guard
+  raises ``ValueError`` instead of returning silently-incomplete
+  distances.
+* **assemble**: node-pair costs map through the snap table to
+  observation pairs; kernel evaluation is a stateless per-batch map
+  (``functions/kernels.py``).
+
+The small-input switch (``joins._coalesced``, asked through
+``graph._one_task`` about a tagged union of the network edges and the
+seeds or snap table) picks one of two plans that run the same rounds, so
+``max_rounds`` means the same on both and their outputs are bit-equal:
+
+* **One task** (a size bound): numpy sorts the edges by src once, runs
+  the rounds as a CSR walk (:func:`_relax`) and, for a graph, expands
+  node pairs to observation pairs (:func:`_expand`).
+* **Sharded** (no bound — the 100 TB shape): per round one
+  ``bucket_join`` of the frontier against the edge table on the node and
+  one ``grouped_by_key`` merge into the best table, which is
+  O(Σ reachable nodes per source), the order of the output; two
+  ``bucket_join`` calls assemble. Every join side declares its schema, so
+  no round runs a schema fetch. Rounds, not data volume, drive the
+  latency: threshold/min-cost hop counts in road networks are tens.
 
 Deviation from the reference, documented: observations snapped to the
 SAME node are connected with their true network cost 0.0 (the n→n
@@ -36,13 +55,6 @@ self-distance), where ``_induce_cliques`` uses an arbitrary
 ``fill_value=1`` (``graph/_utils.py:100``). Self-pairs (i, i) are dropped;
 observations whose snapped node reaches no other observation's node
 within ``threshold`` become isolates (zero-weight self-loops).
-
-Partitioning assumption at 100 TB: the network edge table shuffles by
-node id each round (bucket_join's dynamic bucket count bounds per-task
-memory); the running best table is O(Σ reachable nodes per source), the
-same order as the output, and is re-shuffled once per round. Rounds, not
-data volume, are the latency driver — threshold/min-cost hop counts in
-road networks are small (tens).
 """
 
 from __future__ import annotations
@@ -54,12 +66,28 @@ import ray.data
 
 from libpysal_ray.builders.distance import _count_bbox
 from libpysal_ray.core import edges as E
+from libpysal_ray.core import graph as G
 from libpysal_ray.core import joins as J
 from libpysal_ray.core.graph import RayGraph
 from libpysal_ray.functions.kernels import evaluate_kernel
 
 _CHUNK = 2048
 _TOFF = 1 << 20
+
+_I64, _F64 = pa.int64(), pa.float64()
+# shortest-path rows, and the observation-pair rows ahead of ``_finish``
+_SP = pa.schema([("src", _I64), ("node", _I64), ("dist", _F64)])
+_OBS = pa.schema([("focal", _I64), ("neighbor", _I64), ("dist", _F64)])
+# the one-task input: network edges (tag 0: a=src, b=dst, c=cost) and the
+# second side (tag 1: a=node, b=observation id or node)
+_UNION = pa.schema([("tag", pa.int8()), ("a", _I64), ("b", _I64),
+                    ("c", _F64)])
+# the sharded plan's bucket_join sides
+_FRONTIER = pa.schema([("src", _I64), ("jn", _I64), ("dist", _F64)])
+_EDGE_SIDE = pa.schema([("jn", _I64), ("dst", _I64), ("cost", _F64)])
+_FOCAL_SIDE = pa.schema([("src", _I64), ("focal", _I64)])
+_HALF = pa.schema([("focal", _I64), ("node", _I64), ("dist", _F64)])
+_NBR_SIDE = pa.schema([("node", _I64), ("neighbor", _I64)])
 
 
 def _pack_tile(tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
@@ -220,7 +248,7 @@ def snap_to_nodes(
 
     # fallback: chunked broadcast of the unresolved query points (bounded
     # driver/object-store footprint per the knn_arc_edges fix, ADVICE r2),
-    # scanned against every node block; one groupby(id) min-merge.
+    # scanned against every node block; one per-id min-merge.
     uq = np.array([r["id"] for r in unresolved], dtype=np.int64)
     qtab_ds = points.map_batches(
         lambda t: t.filter(
@@ -272,18 +300,245 @@ def snap_to_nodes(
             }
         )
 
+    # every node block emits a row per unresolved point, not O(nodes)
+    _scan._size_expanding = True
+
     def _merge_min(t: pa.Table) -> pa.Table:
         d = t.column("snap_dist").to_numpy(zero_copy_only=False)
         n = t.column("node").to_numpy(zero_copy_only=False)
         j = np.lexsort((n, d))[0]
         return t.take(pa.array([int(j)]))
 
-    fallback = (
-        nodes.map_batches(_scan, batch_format="pyarrow")
-        .groupby("id")
-        .map_groups(_merge_min, batch_format="pyarrow")
+    fallback = J.per_group(
+        nodes.map_batches(_scan, batch_format="pyarrow"), ("id",), _merge_min
     )
     return resolved.union(fallback)
+
+
+def _np(t: pa.Table, c: str) -> np.ndarray:
+    return t.column(c).to_numpy(zero_copy_only=False)
+
+
+def _partial_min(s: np.ndarray, n: np.ndarray, d: np.ndarray) -> pa.Table:
+    """Min ``d`` per (src, node) of the rows (s, n, d), key-sorted."""
+    order = np.lexsort((d, n, s))
+    s, n, d = s[order], n[order], d[order]
+    first = np.ones(len(s), dtype=np.bool_)
+    first[1:] = (s[1:] != s[:-1]) | (n[1:] != n[:-1])
+    return pa.Table.from_arrays(
+        [pa.array(s[first]), pa.array(n[first]), pa.array(d[first])],
+        schema=_SP,
+    )
+
+
+def _relax(s, n, d, es, ed, ec, threshold: float) -> pa.Table:
+    """One round's expansion: every frontier row (s, n, d) through each
+    out-edge of ``n`` in the src-sorted edges (es, ed, ec), a CSR walk by
+    ``searchsorted``; paths over ``threshold`` drop, the rest
+    min-combine per (src, node)."""
+    lo = np.searchsorted(es, n, "left")
+    cnt = np.searchsorted(es, n, "right") - lo
+    rep = np.repeat(np.arange(len(n)), cnt)
+    epos = G._ranges(lo, lo + cnt)
+    nd = d[rep] + ec[epos]
+    keep = nd <= threshold
+    return _partial_min(s[rep][keep], ed[epos][keep], nd[keep])
+
+
+def _relaxed(t: pa.Table, threshold: float) -> pa.Table:
+    """A relax join's rows (src, jn, dist, dst, cost) as min-combined
+    paths ≤ ``threshold``: the sharded twin of :func:`_relax`."""
+    nd = _np(t, "dist") + _np(t, "cost")
+    keep = nd <= threshold
+    return _partial_min(_np(t, "src")[keep], _np(t, "dst")[keep], nd[keep])
+
+
+def _tagged(t: pa.Table, tag: int) -> pa.Table:
+    """(src, node, dist) of ``t`` plus the merge side ``tag``: 0 for the
+    best table, 1 for a round's candidates."""
+    return t.select(["src", "node", "dist"]).append_column(
+        "tag", pa.array(np.full(t.num_rows, tag, dtype=np.int8)))
+
+
+def _merge(t: pa.Table) -> pa.Table:
+    """One (src, node)-sorted table of best (tag 0) and candidate (tag 1)
+    rows: per (src, node) the min dist, and ``imp`` 1 where a candidate
+    beat the old best (a new key counts as improved)."""
+    s, n, d = _np(t, "src"), _np(t, "node"), _np(t, "dist")
+    first = np.ones(len(s), dtype=np.bool_)
+    first[1:] = (s[1:] != s[:-1]) | (n[1:] != n[:-1])
+    gidx = np.cumsum(first) - 1
+    best = np.full(int(first.sum()), np.inf)
+    np.minimum.at(best, gidx, d)
+    old = np.full(len(best), np.inf)
+    is_old = _np(t, "tag") == 0
+    np.minimum.at(old, gidx[is_old], d[is_old])
+    heads = np.flatnonzero(first)
+    return pa.table({
+        "src": pa.array(s[heads]),
+        "node": pa.array(n[heads]),
+        "dist": pa.array(best),
+        "imp": pa.array((best < old).astype(np.int8)),
+    })
+
+
+def _route_rounds(seeds, es, ed, ec, threshold: float,
+                  max_rounds: int) -> pa.Table | None:
+    """The rounds in one process, from the distinct ``seeds`` over the
+    src-sorted edges (es, ed, ec): the best (src, node, dist) table, or
+    None when a round still improved after ``max_rounds``."""
+    best = pa.Table.from_arrays(
+        [pa.array(seeds), pa.array(seeds), pa.array(np.zeros(len(seeds)))],
+        schema=_SP,
+    )
+    frontier = best
+    for _ in range(max_rounds):
+        cand = _relax(_np(frontier, "src"), _np(frontier, "node"),
+                      _np(frontier, "dist"), es, ed, ec, threshold)
+        u = pa.concat_tables([_tagged(best, 0), _tagged(cand, 1)])
+        merged = _merge(u.take(np.lexsort((_np(u, "node"), _np(u, "src")))))
+        imp = _np(merged, "imp") == 1
+        best = merged.drop_columns(["imp"])
+        if not imp.any():
+            return best
+        frontier = best.filter(pa.array(imp))
+    return None
+
+
+def _expand(sp: pa.Table, nod: np.ndarray, oid: np.ndarray, cap: int):
+    """Node-pair costs ``sp`` to observation pairs through the snap table
+    (``nod`` sorted, ``oid`` the observation at each): every observation
+    at ``src`` × every observation at ``node``, in blocks of ≤ ``cap``
+    rows (one empty block when there are none)."""
+    src, dst, dd = _np(sp, "src"), _np(sp, "node"), _np(sp, "dist")
+    flo = np.searchsorted(nod, src, "left")
+    nlo = np.searchsorted(nod, dst, "left")
+    nn = np.searchsorted(nod, dst, "right") - nlo
+    cnt = (np.searchsorted(nod, src, "right") - flo) * nn
+    ends = np.cumsum(cnt)
+    total = int(ends[-1]) if len(ends) else 0
+    if total == 0:
+        yield _OBS.empty_table()
+    for lo in range(0, total, cap):
+        pos = np.arange(lo, min(lo + cap, total))
+        rows = np.searchsorted(ends, pos, "right")
+        offs = pos - (ends - cnt)[rows]
+        yield pa.Table.from_arrays(
+            [pa.array(oid[flo[rows] + offs // nn[rows]]),
+             pa.array(oid[nlo[rows] + offs % nn[rows]]),
+             pa.array(dd[rows])],
+            schema=_OBS,
+        )
+
+
+def _unconverged(max_rounds: int) -> str:
+    return (f"travel-cost routing did not converge in {max_rounds} rounds; "
+            "raise max_rounds (threshold/min-cost hop bound exceeded)")
+
+
+def _union_rows(ds: ray.data.Dataset, tag: int, a: str, b: str,
+                c: str | None = None) -> ray.data.Dataset:
+    """``ds`` as one side of the one-task input: (tag, a, b, c)."""
+
+    def f(t: pa.Table) -> pa.Table:
+        return pa.Table.from_arrays(
+            [pa.array(np.full(t.num_rows, tag, dtype=np.int8)),
+             t.column(a).cast(_I64), t.column(b).cast(_I64),
+             t.column(c).cast(_F64) if c else pa.array(np.zeros(t.num_rows))],
+            schema=_UNION,
+        )
+
+    return ds.map_batches(f, batch_format="pyarrow")
+
+
+def _small_route(side: ray.data.Dataset, net_edges: ray.data.Dataset,
+                 obs_col: str | None, threshold: float, max_rounds: int):
+    """The whole route (and, with an ``obs_col``, the assembly) as ONE
+    numpy task over the tagged union of ``net_edges`` and ``side``,
+    through the small-input switch: the materialized (src, node, dist)
+    table, or the (focal, neighbor, dist) observation pairs; None when
+    the union has no size bound."""
+    cap = J._COALESCED_EMIT_ROWS  # read at plan build, not in the task
+
+    def _task(t: pa.Table):
+        tag, a, b = _np(t, "tag"), _np(t, "a"), _np(t, "b")
+        e = tag == 0
+        order = np.argsort(a[e], kind="stable")
+        best = _route_rounds(
+            np.unique(a[~e]), a[e][order], b[e][order],
+            _np(t, "c")[e][order], threshold, max_rounds,
+        )
+        if best is None:
+            yield G._task_error(_unconverged(max_rounds))
+        elif obs_col is None:
+            yield best
+        else:
+            o = np.argsort(a[~e], kind="stable")
+            yield from _expand(best, a[~e][o], b[~e][o], cap)
+
+    # the output is reachable pairs, not O(network + side)
+    _task._size_expanding = True
+    u = _union_rows(net_edges, 0, "src", "dst", "cost").union(
+        _union_rows(side, 1, "node", obs_col or "node"))
+    return G._one_task(u, _task, (_SP if obs_col is None else _OBS)
+                       .empty_table())
+
+
+@ray.remote
+def _n_improved(t: pa.Table) -> int:
+    return int(np.count_nonzero(_np(t, "imp"))) if t.num_rows else 0
+
+
+def _sharded_route(seed_nodes: ray.data.Dataset, net_edges: ray.data.Dataset,
+                   threshold: float, max_rounds: int,
+                   num_buckets: int | None) -> ray.data.Dataset:
+    """The rounds as Dataset plans: per round one bucket_join of the
+    frontier against the edges on the node and one grouped_by_key merge
+    into the best table, in one Dataset execution (the merged state,
+    carried on through ``J.unchained``; ``E.compact`` adds one when it
+    re-blocks). Ray tasks count the improved rows per block. Returns the
+    best (src, node, dist) table, its schema declared."""
+    edges = J.declare_schema(net_edges.map_batches(
+        lambda t: pa.Table.from_arrays(
+            [t.column("src").cast(_I64), t.column("dst").cast(_I64),
+             t.column("cost").cast(_F64)], schema=_EDGE_SIDE),
+        batch_format="pyarrow",
+    ), _EDGE_SIDE)
+    # the state rows (src, node, dist, imp); the seeds start improved
+    state = J.unchained(seed_nodes.map_batches(
+        lambda t: pa.table({
+            "src": t.column("node").cast(_I64),
+            "node": t.column("node").cast(_I64),
+            "dist": pa.array(np.zeros(t.num_rows)),
+            "imp": pa.array(np.ones(t.num_rows, dtype=np.int8)),
+        }),
+        batch_format="pyarrow",
+    ))
+    for _ in range(max_rounds):
+        frontier = J.declare_schema(state.map_batches(
+            lambda t: pa.Table.from_arrays(
+                [t.column("src"), t.column("node"), t.column("dist")],
+                schema=_FRONTIER,
+            ).filter(pa.array(_np(t, "imp") == 1)),
+            batch_format="pyarrow",
+        ), _FRONTIER)
+        relaxed = J.bucket_join(
+            frontier, edges, on="jn", num_buckets=num_buckets
+        ).map_batches(
+            lambda t: _relaxed(t, threshold), batch_format="pyarrow"
+        )
+        best = state.map_batches(lambda t: _tagged(t, 0),
+                                 batch_format="pyarrow")
+        # re-blocked: each merge hands on as many blocks as it got
+        state = J.unchained(E.compact(J.grouped_by_key(
+            best.union(relaxed.map_batches(lambda t: _tagged(t, 1),
+                                           batch_format="pyarrow")),
+            ["src", "node"], _merge, num_buckets=num_buckets,
+        )))
+        refs = state.to_arrow_refs()
+        if not sum(ray.get([_n_improved.remote(r) for r in refs])):
+            return J.declare_schema(state.drop_columns(["imp"]), _SP)
+    raise ValueError(_unconverged(max_rounds))
 
 
 def travel_cost_edges(
@@ -291,271 +546,27 @@ def travel_cost_edges(
     net_edges: ray.data.Dataset,
     threshold: float,
     max_rounds: int = 64,
-    max_driver_edges: int = 5_000_000,
-    force_distributed: bool = False,
     num_buckets: int | None = None,
 ) -> ray.data.Dataset:
     """Min network cost ≤ ``threshold`` from every seed node: (src, node, dist).
 
-    ``seed_nodes``: column ``node`` (distinct int64 network node ids).
-    ``net_edges``: (src, dst, cost) DIRECTED, cost > 0. Self rows
+    ``seed_nodes``: column ``node`` (int64 network node ids; repeats are
+    fine). ``net_edges``: (src, dst, cost) DIRECTED, cost > 0. Self rows
     (src, src, 0.0) are included in the output.
 
-    Frontier relaxation (the ``order()`` loop shape, core/graph.py): each
-    round relaxes the improved set through one bucketed join + one
-    min-aggregate + one merge shuffle. Converges in ≤ hop-diameter rounds;
-    raises RuntimeError if still improving after ``max_rounds`` (the
+    Synchronous frontier relaxation (see the module docstring), run as
+    ONE numpy task when the small-input switch bounds the network edges
+    and the seeds together, else as the sharded rounds (``num_buckets``
+    is their shuffles' bucket count, None = sized from the input).
+    Converges in ≤ hop-diameter + 1 rounds; raises ``ValueError`` if a
+    round still improved after ``max_rounds`` (the
     fixed-iteration-silent-exit trap flagged for components, ADVICE r2).
-
-    Size switch (the ``n_components`` discipline, core/graph.py): a road
-    network under ``max_driver_edges`` runs a driver-side heap Dijkstra —
-    paying ~10 shuffles of round latency to route a graph that fits in
-    one process is the wrong plan. ``force_distributed=True`` pins the
-    frontier path (tests + the oracle query exercise it).
     """
-    n_edges = net_edges.count()
-    if not force_distributed and n_edges <= max_driver_edges:
-        return _travel_cost_driver(seed_nodes, net_edges, threshold)
-    # Relax strategy: the edge table is the SMALL side of every round's
-    # join. Below ~5M edges broadcast it once (ray.put, CSR-sorted) and
-    # relax as a shuffle-free map_batches over the frontier — halving the
-    # per-round shuffle count; above that, bucket-join the edge table.
-    broadcast_relax = n_edges <= 5_000_000
-    if broadcast_relax:
-        et = pa.concat_tables(
-            net_edges.select_columns(["src", "dst", "cost"]).iter_batches(
-                batch_format="pyarrow"
-            )
-        )
-        es = et.column("src").to_numpy(zero_copy_only=False).astype(np.int64)
-        ed = et.column("dst").to_numpy(zero_copy_only=False).astype(np.int64)
-        ec = et.column("cost").to_numpy(zero_copy_only=False).astype(
-            np.float64
-        )
-        order = np.argsort(es, kind="stable")
-        e_ref = ray.put((es[order], ed[order], ec[order]))
-        edges = None
-    else:
-        edges = net_edges.select_columns(
-            ["src", "dst", "cost"]
-        ).rename_columns({"src": "jn"}).materialize()
-
-    seeds = seed_nodes.map_batches(
-        lambda t: pa.table(
-            {
-                "src": t.column("node"),
-                "node": t.column("node"),
-                "dist": pa.array(np.zeros(t.num_rows, np.float64)),
-            }
-        ),
-        batch_format="pyarrow",
-    ).materialize()
-
-    def _partial_min(t: pa.Table) -> pa.Table:
-        # per-batch (src, node) min combiner ahead of the global aggregate
-        s = t.column("src").to_numpy(zero_copy_only=False)
-        n = t.column("node").to_numpy(zero_copy_only=False)
-        d = t.column("dist").to_numpy(zero_copy_only=False)
-        order = np.lexsort((d, n, s))
-        s, n, d = s[order], n[order], d[order]
-        first = np.ones(len(s), dtype=np.bool_)
-        first[1:] = (s[1:] != s[:-1]) | (n[1:] != n[:-1])
-        return pa.table(
-            {
-                "src": pa.array(s[first]),
-                "node": pa.array(n[first]),
-                "dist": pa.array(d[first]),
-            }
-        )
-
-    def _merge(t: pa.Table) -> pa.Table:
-        # key-sorted bucket of old-best (tag 0) and candidate (tag 1) rows:
-        # per (src, node) emit min dist + whether a candidate improved on
-        # the old best (new keys count as improved)
-        s = t.column("src").to_numpy(zero_copy_only=False)
-        if len(s) == 0:
-            return pa.table(
-                {
-                    "src": pa.array([], pa.int64()),
-                    "node": pa.array([], pa.int64()),
-                    "dist": pa.array([], pa.float64()),
-                    "imp": pa.array([], pa.int8()),
-                }
-            )
-        n = t.column("node").to_numpy(zero_copy_only=False)
-        d = t.column("dist").to_numpy(zero_copy_only=False)
-        tag = t.column("tag").to_numpy(zero_copy_only=False)
-        first = np.ones(len(s), dtype=np.bool_)
-        first[1:] = (s[1:] != s[:-1]) | (n[1:] != n[:-1])
-        gidx = np.cumsum(first) - 1
-        ng = int(gidx[-1]) + 1
-        best = np.full(ng, np.inf)
-        np.minimum.at(best, gidx, d)
-        old = np.full(ng, np.inf)
-        is_old = tag == 0
-        np.minimum.at(old, gidx[is_old], d[is_old])
-        imp = (best < old).astype(np.int8)
-        heads = np.flatnonzero(first)
-        return pa.table(
-            {
-                "src": pa.array(s[heads]),
-                "node": pa.array(n[heads]),
-                "dist": pa.array(best),
-                "imp": pa.array(imp),
-            }
-        )
-
-    def _tag(ds: ray.data.Dataset, v: int) -> ray.data.Dataset:
-        return ds.map_batches(
-            lambda t: t.append_column(
-                "tag", pa.array(np.full(t.num_rows, v, dtype=np.int8))
-            ),
-            batch_format="pyarrow",
-        )
-
-    def _relax_broadcast(t: pa.Table) -> pa.Table:
-        bs, bd, bc = ray.get(e_ref)
-        s = t.column("src").to_numpy(zero_copy_only=False)
-        n = t.column("node").to_numpy(zero_copy_only=False)
-        d = t.column("dist").to_numpy(zero_copy_only=False)
-        lo = np.searchsorted(bs, n, "left")
-        hi = np.searchsorted(bs, n, "right")
-        cnt = hi - lo
-        total = int(cnt.sum())
-        if total == 0:
-            return pa.table(
-                {
-                    "src": pa.array([], pa.int64()),
-                    "node": pa.array([], pa.int64()),
-                    "dist": pa.array([], pa.float64()),
-                }
-            )
-        rep = np.repeat(np.arange(len(n)), cnt)
-        offs = np.arange(total) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-        epos = np.repeat(lo, cnt) + offs
-        nd = d[rep] + bc[epos]
-        keep = nd <= threshold
-        return _partial_min(
-            pa.table(
-                {
-                    "src": pa.array(s[rep][keep]),
-                    "node": pa.array(bd[epos][keep]),
-                    "dist": pa.array(nd[keep]),
-                }
-            )
-        )
-
-    # frontier rows fan out by node out-degree — the plan-walk byte bound
-    # in core/joins must abort here so the downstream grouped_by_key merge
-    # never coalesces an expanded relax stream into one task
-    _relax_broadcast._size_expanding = True
-
-    best = seeds
-    frontier = seeds
-    for _round in range(max_rounds):
-        if broadcast_relax:
-            relaxed = frontier.map_batches(
-                _relax_broadcast, batch_format="pyarrow"
-            )
-        else:
-            relaxed = (
-            J.bucket_join(
-                frontier.rename_columns({"node": "jn"}), edges, on="jn",
-                num_buckets=num_buckets,
-            )
-            .map_batches(
-                lambda t: _partial_min(
-                    pa.table(
-                        {
-                            "src": t.column("src"),
-                            "node": t.column("dst"),
-                            "dist": pa.array(
-                                t.column("dist").to_numpy(zero_copy_only=False)
-                                + t.column("cost").to_numpy(
-                                    zero_copy_only=False
-                                )
-                            ),
-                        }
-                    ).filter(
-                        pa.array(
-                            (
-                                t.column("dist").to_numpy(zero_copy_only=False)
-                                + t.column("cost").to_numpy(
-                                    zero_copy_only=False
-                                )
-                            )
-                            <= threshold
-                        )
-                    )
-                ),
-                batch_format="pyarrow",
-            )
-        )
-        merged = J.grouped_by_key(
-            _tag(best, 0).union(_tag(relaxed, 1)),
-            ["src", "node"],
-            _merge,
-            num_buckets=num_buckets,
-        ).materialize()
-        improved = merged.filter(expr="imp == 1")
-        best = merged.drop_columns(["imp"])
-        if improved.count() == 0:
-            return best
-        frontier = improved.drop_columns(["imp"])
-    raise RuntimeError(
-        f"travel_cost_edges did not converge in {max_rounds} rounds; "
-        "raise max_rounds (threshold/min-cost hop bound exceeded)"
-    )
-
-
-def _travel_cost_driver(
-    seed_nodes: ray.data.Dataset,
-    net_edges: ray.data.Dataset,
-    threshold: float,
-) -> ray.data.Dataset:
-    """Driver-side bounded multi-source Dijkstra (binary heap) for
-    networks that fit in one process; identical output contract to the
-    distributed path (pytest asserts parity)."""
-    import heapq
-
-    adj: dict[int, list[tuple[int, float]]] = {}
-    for b in net_edges.iter_batches(batch_format="pyarrow"):
-        s = b.column("src").to_numpy(zero_copy_only=False)
-        d = b.column("dst").to_numpy(zero_copy_only=False)
-        c = b.column("cost").to_numpy(zero_copy_only=False)
-        for i in range(len(s)):
-            adj.setdefault(int(s[i]), []).append((int(d[i]), float(c[i])))
-    seeds = [
-        int(r["node"])
-        for b in seed_nodes.iter_batches(batch_format="pyarrow")
-        for r in b.to_pylist()
-    ]
-    out_s, out_n, out_d = [], [], []
-    for src in seeds:
-        dist: dict[int, float] = {src: 0.0}
-        pq = [(0.0, src)]
-        while pq:
-            dd, u = heapq.heappop(pq)
-            if dd > dist.get(u, np.inf):
-                continue
-            for v2, c2 in adj.get(u, ()):  # noqa: B023
-                nd = dd + c2
-                if nd <= threshold and nd < dist.get(v2, np.inf):
-                    dist[v2] = nd
-                    heapq.heappush(pq, (nd, v2))
-        for node, dd in dist.items():
-            out_s.append(src)
-            out_n.append(node)
-            out_d.append(dd)
-    return ray.data.from_arrow(
-        pa.table(
-            {
-                "src": pa.array(np.asarray(out_s, np.int64)),
-                "node": pa.array(np.asarray(out_n, np.int64)),
-                "dist": pa.array(np.asarray(out_d, np.float64)),
-            }
-        )
-    )
+    small = _small_route(seed_nodes, net_edges, None, threshold, max_rounds)
+    if small is not None:
+        return small
+    return _sharded_route(seed_nodes, net_edges, threshold, max_rounds,
+                          num_buckets)
 
 
 def build_travel_graph(
@@ -567,24 +578,25 @@ def build_travel_graph(
     taper: bool = True,
     mapping_distance: float | None = None,
     id_col: str = "id",
-    force_distributed: bool = False,
     num_buckets: int | None = None,
-    broadcast_assemble_max: int = 1_000_000,
 ) -> RayGraph:
     """Observation graph weighted by bounded network travel cost.
 
     Reference ``build_travel_graph`` (graph/_network.py:66-152); see the
-    module docstring for the pipeline and the documented same-node-pair
-    deviation. ``mapping_distance``: observations farther than this from
-    every network node are left unsnapped and become isolates
-    (``get_node_ids`` snapping tolerance, _network.py:85-88).
-    ``kernel``: optional kernel function name applied to costs with
-    bandwidth = ``threshold`` (graph/_network.py:136-151); ``taper`` drops
-    zero-weight links after kernel evaluation (_network.py:95-97).
+    module docstring for the pipeline, its two plans and the documented
+    same-node-pair deviation. With a size bound on the network edges and
+    the snap table, ONE task routes and assembles; without one, the
+    sharded rounds route and two ``bucket_join`` calls assemble
+    (``num_buckets`` is their bucket count). ``mapping_distance``:
+    observations farther than this from every network node are left
+    unsnapped and become isolates (``get_node_ids`` snapping tolerance,
+    _network.py:85-88). ``kernel``: optional kernel function name applied
+    to costs with bandwidth = ``threshold`` (graph/_network.py:136-151);
+    ``taper`` drops zero-weight links after kernel evaluation
+    (_network.py:95-97). Routing that does not converge in 64 rounds
+    raises ``ValueError``.
     """
-    snaps = snap_to_nodes(
-        points, net_nodes, id_col=id_col
-    )
+    snaps = snap_to_nodes(points, net_nodes, id_col=id_col)
     if mapping_distance is not None:
         md = float(mapping_distance)
         snaps = snaps.map_batches(
@@ -596,71 +608,29 @@ def build_travel_graph(
             batch_format="pyarrow",
         )
     snaps = snaps.select_columns(["id", "node"]).materialize()
-    seeds = (
-        snaps.select_columns(["node"]).groupby("node").count()
-        .select_columns(["node"])
-    )
-    sp = travel_cost_edges(
-        seeds, net_edges, threshold, force_distributed=force_distributed,
-        num_buckets=num_buckets,
-    )
-    # assemble: node-pair costs → observation pairs. The snap table is the
-    # small side of both joins (one row per observation); below 1M rows
-    # broadcast it once and expand per sp batch shuffle-free, else two
-    # bucketed joins.
-    if snaps.count() <= broadcast_assemble_max:
-        st = pa.concat_tables(snaps.iter_batches(batch_format="pyarrow"))
-        sid = st.column("id").to_numpy(zero_copy_only=False).astype(np.int64)
-        snode = st.column("node").to_numpy(zero_copy_only=False).astype(
-            np.int64
+    pairs = _small_route(snaps, net_edges, "id", threshold, 64)
+    if pairs is None:  # the network edges have no size bound
+        sp = travel_cost_edges(
+            J.grouped_agg(snaps, ("node",), (None,), "count"), net_edges,
+            threshold, num_buckets=num_buckets,
         )
-        order = np.argsort(snode, kind="stable")
-        s_ref = ray.put((snode[order], sid[order]))
-
-        def _expand(t: pa.Table) -> pa.Table:
-            nod, oid = ray.get(s_ref)
-            src = t.column("src").to_numpy(zero_copy_only=False)
-            dst = t.column("node").to_numpy(zero_copy_only=False)
-            dd = t.column("dist").to_numpy(zero_copy_only=False)
-            flo = np.searchsorted(nod, src, "left")
-            fhi = np.searchsorted(nod, src, "right")
-            nlo = np.searchsorted(nod, dst, "left")
-            nhi = np.searchsorted(nod, dst, "right")
-            cnt = (fhi - flo) * (nhi - nlo)
-            total = int(cnt.sum())
-            if total == 0:
-                return pa.table(
-                    {
-                        "focal": pa.array([], pa.int64()),
-                        "neighbor": pa.array([], pa.int64()),
-                        "dist": pa.array([], pa.float64()),
-                    }
-                )
-            rows = np.repeat(np.arange(len(src)), cnt)
-            offs = np.arange(total) - np.repeat(
-                np.cumsum(cnt) - cnt, cnt
-            )
-            nn = (nhi - nlo)[rows]
-            fpos = flo[rows] + offs // np.maximum(nn, 1)
-            npos = nlo[rows] + offs % np.maximum(nn, 1)
-            return pa.table(
-                {
-                    "focal": pa.array(oid[fpos]),
-                    "neighbor": pa.array(oid[npos]),
-                    "dist": pa.array(dd[rows]),
-                }
-            )
-
-        t2 = sp.map_batches(_expand, batch_format="pyarrow")
-    else:
-        focal_side = snaps.rename_columns({"id": "focal", "node": "src"})
-        t1 = J.bucket_join(sp, focal_side, on="src").select_columns(
-            ["focal", "node", "dist"]
-        )
-        nbr_side = snaps.rename_columns({"id": "neighbor"})
-        t2 = J.bucket_join(t1, nbr_side, on="node").select_columns(
-            ["focal", "neighbor", "dist"]
-        )
+        focal = J.declare_schema(snaps.map_batches(
+            lambda t: pa.Table.from_arrays(
+                [t.column("node"), t.column("id")], schema=_FOCAL_SIDE),
+            batch_format="pyarrow",
+        ), _FOCAL_SIDE)
+        half = J.declare_schema(J.bucket_join(
+            sp, focal, on="src", num_buckets=num_buckets
+        ).map_batches(
+            lambda t: t.select(["focal", "node", "dist"]),
+            batch_format="pyarrow",
+        ), _HALF)
+        nbr = J.declare_schema(snaps.map_batches(
+            lambda t: pa.Table.from_arrays(
+                [t.column("node"), t.column("id")], schema=_NBR_SIDE),
+            batch_format="pyarrow",
+        ), _NBR_SIDE)
+        pairs = J.bucket_join(half, nbr, on="node", num_buckets=num_buckets)
 
     kf = kernel
 
@@ -679,6 +649,6 @@ def build_travel_graph(
             f, n, w = f[nz], n[nz], w[nz]
         return E.edge_table(f, n, w)
 
-    edges_out = t2.map_batches(_finish, batch_format="pyarrow")
+    edges_out = pairs.map_batches(_finish, batch_format="pyarrow")
     ids = points.select_columns([id_col]).rename_columns({id_col: "focal"})
     return RayGraph(edges_out, ids=ids)

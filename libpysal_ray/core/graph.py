@@ -41,12 +41,6 @@ from libpysal_ray.core import joins as J
 
 ALLOWED_TRANSFORMATIONS = ("O", "B", "R", "D", "V")
 
-# Above this many rows, per-focal scalar tables (row sums, attribute
-# vectors) stop being driver-broadcast and switch to a distributed
-# bucket_join — the 100 TB path. Tuned so the broadcast side stays well
-# under a worker heap (~80 MB of (id, float) pairs).
-BROADCAST_ROW_LIMIT = 5_000_000
-
 
 def _attach_attr(
     edges: ray.data.Dataset,
@@ -458,14 +452,13 @@ class RayGraph:
                             original=self._original)
 
         if code == "R":
-            # Two-pass, fully vectorized: native groupby(focal).sum →
-            # per-focal row sums → per-edge divide. Below
-            # BROADCAST_ROW_LIMIT focals the row sums are a driver
-            # broadcast (ray.put once); above it they stay a Dataset and
-            # attach via a distributed bucket_join on focal — no n-row
-            # driver materialization at web scale.
+            # Two-pass, fully vectorized: grouped sum per focal → per-edge
+            # divide. Row sums the size predicate (``J._small``) bounds
+            # are a driver broadcast (ray.put once); others stay a
+            # Dataset and attach via a distributed bucket_join on focal —
+            # no n-row driver materialization at web scale.
             sums_ds = J.grouped_sum(ds, ("focal",), ("weight",)).materialize()
-            if sums_ds.count() <= BROADCAST_ROW_LIMIT:
+            if J._small(sums_ds):
                 sums = sums_ds.to_pandas()
                 out = J.broadcast_lookup(
                     ds,
@@ -525,7 +518,7 @@ class RayGraph:
                 ("focal",),
                 ("__w2",),
             ).materialize()
-            if sq_ds.count() <= BROADCAST_ROW_LIMIT:
+            if J._small(sq_ds):
                 sq = sq_ds.to_pandas()
                 withq = J.broadcast_lookup(
                     ds,
@@ -2566,7 +2559,7 @@ class RayGraph:
             .rename_columns({"sum(weight)": "__t"})
         )
         cards_ds = self.cardinalities().materialize()
-        if cards_ds.count() <= BROADCAST_ROW_LIMIT:
+        if J._small(cards_ds):
             cards = cards_ds.to_pandas()
             out = J.broadcast_lookup(
                 tcount,
@@ -2826,9 +2819,13 @@ class RayGraph:
         node id — the global minimum maps to itself at every level, so
         composition preserves it."""
         real = self._real_edges().select_columns(["focal", "neighbor"])
-        und = real.union(
-            real.rename_columns({"focal": "neighbor", "neighbor": "focal"})
-        ).materialize()
+        # the reversed side keeps the canonical (focal, neighbor) order,
+        # so both halves of the union share one schema
+        und = real.union(real.map_batches(
+            lambda t: pa.table({"focal": t.column("neighbor"),
+                                "neighbor": t.column("focal")}),
+            batch_format="pyarrow",
+        )).materialize()
         try:
             ncpu = int(ray.cluster_resources().get("CPU", 8))
         except Exception:

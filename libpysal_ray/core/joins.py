@@ -12,21 +12,28 @@
   group by key, ``cogroup_pairs``) builds set ops and anti-joins on them.
 
 **The small-input switch.** Those four shuffling primitives first ask
-``_coalesced``: when every input has a ``_chain_size_upper`` bound and
-the bounds sum to ≤ ``SMALL_COGROUP_BYTES``, the input is repartitioned
-to ONE block and one task runs the same kernel over the whole table —
-no shuffle stage. Unknown sizes always shuffle. Setting
-``SMALL_COGROUP_BYTES = -1`` forces the sharded path for all four.
+``_coalesced``: when ``_small`` holds (every input has a
+``_chain_size_upper`` bound and the bounds sum to ≤
+``SMALL_COGROUP_BYTES``), the input is repartitioned to ONE block and
+one task runs the same kernel over the whole table — no shuffle stage.
+Unknown sizes always shuffle. Setting ``SMALL_COGROUP_BYTES = -1``
+forces the sharded path for all four. ``_small`` is also the one size
+predicate of the per-focal lookups that broadcast a materialized table
+or ``bucket_join`` it (``transform("R")``/``("V")``,
+``local_clustering``, the adaptive ``kernel``).
 
 The graph algorithms of ``core.graph`` (``pagerank_int``,
 ``seed_distance``, ``label_propagation``, ``hits_int``,
 ``spanning_forest``, ``order``, ``n_components``, ``kcore``, ``ktruss``)
-ask the same switch about their edge table: with a bound, the whole
-algorithm runs as one numpy task; without one, its sharded rounds run.
-They take no size knob of their own. A graph over edges behind a map
-marked ``_size_expanding`` (``pipelines.queries.unbounded_graph``) has
-no bound, which is how tests and the evidence queries pin the sharded
-path.
+and the travel-cost builders of ``builders.network``
+(``travel_cost_edges``, ``build_travel_graph``, asking about the network
+edges and the seeds or snap table together) ask the same switch: with a
+bound, the whole algorithm runs as one numpy task; without one, its
+sharded rounds run. They take no size knob of their own. A graph over
+edges behind a map marked ``_size_expanding``
+(``pipelines.queries.unbounded_graph``, or a network behind
+``pipelines.queries._identity``) has no bound, which is how tests and
+the evidence queries pin the sharded path.
 
 **The ``_chain_size_upper`` contract.** The bound walks map-like ops
 (map, project, filter, union, limit, repartition) down to inputs whose
@@ -134,15 +141,20 @@ def _chain_size_upper(ds: ray.data.Dataset) -> int | None:
         return None
 
 
+def _small(*sides: ray.data.Dataset) -> bool:
+    """The one size predicate: every side has a ``_chain_size_upper``
+    bound and the bounds sum to ≤ SMALL_COGROUP_BYTES."""
+    est = [_chain_size_upper(d) for d in sides]
+    return all(e is not None for e in est) and sum(est) <= SMALL_COGROUP_BYTES
+
+
 def _coalesced(u: ray.data.Dataset, kernel, *sides: ray.data.Dataset):
     """The small-input switch: ``kernel`` run as ONE task over ``u``
-    coalesced to a single block, when every input in ``sides`` (default:
-    ``u``) has a ``_chain_size_upper`` bound and they sum to ≤
-    SMALL_COGROUP_BYTES; else None and the caller shuffles. Downstream
-    walks read ``kernel._size_expanding``, so a kernel wrapping a caller's
-    fn copies that fn's mark."""
-    est = [_chain_size_upper(d) for d in sides or (u,)]
-    if any(e is None for e in est) or sum(est) > SMALL_COGROUP_BYTES:
+    coalesced to a single block, when ``_small(*sides)`` (default:
+    ``u``); else None and the caller shuffles. Downstream walks read
+    ``kernel._size_expanding``, so a kernel wrapping a caller's fn copies
+    that fn's mark."""
+    if not _small(*(sides or (u,))):
         return None
     return u.repartition(1).map_batches(
         kernel, batch_size=None, batch_format="pyarrow"

@@ -2215,9 +2215,11 @@ def _tc_network():
 def q_travel_cost(sf_dir: str):
     """Travel-cost graph (graph/_network.py:66-152 semantics): snap every
     17th document's point to its nearest road node, bounded multi-source
-    Dijkstra over the directed network, observation pairs weighted by
-    network cost. Distributed end to end: tiled snap + frontier-join
-    shortest paths + two bucketed joins back to observations."""
+    shortest paths over the directed network, observation pairs weighted
+    by network cost. The network edges pass through ``_identity``, so the
+    graph takes the sharded plan that runs at scale: tiled snap +
+    bucket-join frontier rounds + two bucket_joins back to
+    observations."""
     from libpysal_ray.builders.network import build_travel_graph
 
     obs = _points(sf_dir).map_batches(
@@ -2229,11 +2231,11 @@ def q_travel_cost(sf_dir: str):
         batch_format="pyarrow",
     ).rename_columns({"doc_id": "id"})
     nodes, edges = _tc_network()
-    # forced distributed (the components_band discipline: the oracle gate
-    # must prove the frontier path, not the driver shortcut); small bucket
-    # count caps per-round task latency at this network size
-    g = build_travel_graph(obs, nodes, edges, threshold=_TC_THRESH,
-                           force_distributed=True, num_buckets=32)
+    # a small bucket count caps per-round task latency at this network size
+    g = build_travel_graph(
+        obs, nodes, edges.map_batches(_identity, batch_format="pyarrow"),
+        threshold=_TC_THRESH, num_buckets=32,
+    )
     return _real(g)
 
 

@@ -249,6 +249,31 @@ def test_components():
     assert ncomp == 3  # {0,1}, {3,4}, {2}
 
 
+def test_sharded_components_keep_the_column_order(ray_session):
+    # the reversed half of the undirected edge union is written in the
+    # canonical (focal, neighbor) order, so Ray logs no schema change
+    # naming a (neighbor, focal) block
+    import logging
+
+    warned = []
+
+    class _Warnings(logging.Handler):
+        def emit(self, record):
+            msg = record.getMessage()
+            if "different schema" in msg and "neighbor: int64\nfocal" in msg:
+                warned.append(msg)
+
+    handler = _Warnings()
+    logging.getLogger("ray.data").addHandler(handler)
+    try:
+        ncomp, _ = unbounded_graph(lat2graph(6, 6, rook=True).edges
+                                   ).n_components()
+    finally:
+        logging.getLogger("ray.data").removeHandler(handler)
+    assert ncomp == 1
+    assert not warned, warned
+
+
 def test_describe(w33):
     y = np.arange(9, dtype=float)
     d = {r["focal"]: r for r in w33.describe(np.arange(9), y).take_all()}

@@ -18,7 +18,6 @@ ALLOWED = {
     "builders/contiguity.py": 2,
     "builders/delaunay.py": 2,
     "builders/distance.py": 2,
-    "builders/network.py": 2,
     "builders/raster.py": 5,
     "builders/sphere.py": 2,
     "builders/triangulation.py": 1,

@@ -413,3 +413,58 @@ def test_describe_per_group_paths_agree(ray_session, monkeypatch, kw):
     got = _paths_agree(monkeypatch, lambda: _nan_to_null(
         g.describe(np.arange(25), vals, **kw)))
     assert len(got) == 25
+
+
+def _broadcast_sites():
+    """The four per-focal lookups that broadcast what ``J._small``
+    bounds and bucket_join the rest, each as a build over seeded inputs
+    (quarter-step weights, so sums are exact in any order)."""
+    from libpysal_ray.builders.distance import kernel
+    from libpysal_ray.core.graph import RayGraph
+
+    rng = np.random.default_rng(11)
+    f, n = rng.integers(0, 40, 300), rng.integers(0, 40, 300)
+    keep = f != n
+    g = RayGraph.from_arrays(f[keep], n[keep],
+                             rng.integers(1, 8, keep.sum()) / 4.0,
+                             ids=np.arange(42))
+    pts = ray.data.from_arrow(pa.table({
+        "id": pa.array(np.arange(60, dtype=np.int64)),
+        "x": pa.array(rng.integers(0, 64, 60) / 4.0),
+        "y": pa.array(rng.integers(0, 64, 60) / 4.0),
+    }))
+    return {
+        "transform_r": lambda: g.transform("R").edges,
+        "transform_v": lambda: g.transform("V").edges,
+        "local_clustering": lambda: g.local_clustering(),
+        "adaptive_kernel": lambda: kernel(pts, k=3, fixed=False).edges,
+    }
+
+
+@pytest.mark.parametrize("site", ["transform_r", "transform_v",
+                                  "local_clustering", "adaptive_kernel"])
+def test_broadcast_sites_paths_agree(ray_session, monkeypatch, site):
+    build = _broadcast_sites()[site]
+    looked = []
+    orig = J.broadcast_lookup
+    monkeypatch.setattr(J, "broadcast_lookup",
+                        lambda *a, **k: looked.append(1) or orig(*a, **k))
+
+    def rows():
+        return sorted(tuple(sorted(r.items())) for r in build().take_all())
+
+    small = rows()
+    assert looked
+    looked.clear()
+    monkeypatch.setattr(J, "SMALL_COGROUP_BYTES", -1)
+    sharded = rows()
+    assert not looked
+    assert small
+    if site != "transform_v":
+        assert small == sharded
+        return
+    # V's global rescale sums every weight over the blocks, whose layout
+    # differs between the paths: the last bit may differ
+    assert [r[:2] for r in small] == [r[:2] for r in sharded]
+    np.testing.assert_allclose([r[2][1] for r in small],
+                               [r[2][1] for r in sharded], rtol=1e-13)

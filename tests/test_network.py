@@ -4,6 +4,7 @@ import heapq
 
 import numpy as np
 import pyarrow as pa
+import pytest
 import ray.data
 
 from libpysal_ray.builders.network import (
@@ -12,6 +13,7 @@ from libpysal_ray.builders.network import (
     travel_cost_edges,
 )
 from libpysal_ray.core.edges import drop_isolate_markers
+from libpysal_ray.pipelines.queries import _identity
 
 
 def _dijkstra_ref(n_nodes, edges, sources, threshold):
@@ -77,6 +79,12 @@ def _edges_ds(edges):
     )
 
 
+def _sharded(ds):
+    """``ds`` behind a map marked as a size-expander: no size bound, so
+    the travel-cost builders take their sharded plan."""
+    return ds.map_batches(_identity, batch_format="pyarrow")
+
+
 def test_snap_to_nodes_matches_bruteforce(ray_session):
     nodes, _ = _grid_network(g=5)
     rng = np.random.default_rng(3)
@@ -115,8 +123,8 @@ def test_travel_cost_edges_matches_dijkstra(ray_session):
     )
     got = {
         (r["src"], r["node"]): r["dist"]
-        for r in travel_cost_edges(seeds, _edges_ds(edges), threshold,
-                                   force_distributed=True).take_all()
+        for r in travel_cost_edges(seeds, _sharded(_edges_ds(edges)),
+                                   threshold).take_all()
     }
     ref = _dijkstra_ref(len(nodes), edges, sources, threshold)
     assert set(got) == set(ref)
@@ -140,8 +148,8 @@ def test_build_travel_graph_end_to_end(ray_session):
     )
     threshold = 3.0
     g = build_travel_graph(
-        pts, _nodes_ds(nodes), _edges_ds(edges), threshold=threshold,
-        force_distributed=True, num_buckets=16,
+        pts, _nodes_ds(nodes), _sharded(_edges_ds(edges)),
+        threshold=threshold, num_buckets=16,
     )
     rows = [
         r
@@ -220,8 +228,7 @@ def test_travel_cost_driver_matches_distributed(ray_session):
     a = {(r["src"], r["node"]): r["dist"]
          for r in travel_cost_edges(seeds, _edges_ds(edges), 3.5).take_all()}
     b = {(r["src"], r["node"]): r["dist"]
-         for r in travel_cost_edges(seeds, _edges_ds(edges), 3.5,
-                                    force_distributed=True,
+         for r in travel_cost_edges(seeds, _sharded(_edges_ds(edges)), 3.5,
                                     num_buckets=8).take_all()}
     assert set(a) == set(b)
     for k in a:
@@ -237,9 +244,8 @@ def test_travel_graph_bucketed_assemble_parity(ray_session):
                   "x": pa.array(px), "y": pa.array(py)}))
     a = build_travel_graph(pts, _nodes_ds(nodes), _edges_ds(edges),
                            threshold=4.0)
-    b = build_travel_graph(pts, _nodes_ds(nodes), _edges_ds(edges),
-                           threshold=4.0, broadcast_assemble_max=0,
-                           num_buckets=8)
+    b = build_travel_graph(pts, _nodes_ds(nodes), _sharded(_edges_ds(edges)),
+                           threshold=4.0, num_buckets=8)
     ra = sorted((r["focal"], r["neighbor"], r["weight"])
                 for bb in a.edges.iter_batches(batch_format="pyarrow")
                 for r in bb.to_pylist())
@@ -247,3 +253,103 @@ def test_travel_graph_bucketed_assemble_parity(ray_session):
                 for bb in b.edges.iter_batches(batch_format="pyarrow")
                 for r in bb.to_pylist())
     assert ra == rb and len(ra) > 0
+
+
+def _case_network(offset):
+    """A 5×5 grid with quarter-step costs in [1, 2] (sums are exact, so
+    paths of cost exactly 3.0 exist), plus node 25 with an in-edge and no
+    out-edge and a two-node component {26, 27} the grid never reaches;
+    every id shifted by ``offset``."""
+    nodes, edges = _grid_network(g=5, seed=offset % 97)
+    nodes = nodes + [(25, 9.0, 9.0), (26, -5.0, -5.0), (27, -6.0, -5.0)]
+    edges = edges + [(24, 25, 1.5), (26, 27, 1.0), (27, 26, 1.25)]
+    return ([(i + offset, x, y) for i, x, y in nodes],
+            [(s + offset, d + offset, c) for s, d, c in edges])
+
+
+@pytest.mark.parametrize("offset, mapping_distance", [
+    (0, None), (2**32 + 5, None), (0, 1e-9),
+])
+def test_travel_paths_agree(ray_session, offset, mapping_distance):
+    # one task vs the sharded rounds on duplicate seeds, a seed with no
+    # out-edge, unreachable nodes, ids past 2^32, paths costing exactly
+    # the threshold and (1e-9) no observation snapped: bit-equal rows
+    nodes, edges = _case_network(offset)
+    threshold = 3.0
+    sources = [offset + i for i in (0, 0, 12, 25, 26)]
+    seeds = ray.data.from_arrow(pa.table({"node": pa.array(sources,
+                                                           pa.int64())}))
+
+    def _sp(net):
+        return sorted((r["src"], r["node"], r["dist"]) for r in
+                      travel_cost_edges(seeds, net, threshold,
+                                        num_buckets=8).take_all())
+
+    one, sharded = _sp(_edges_ds(edges)), _sp(_sharded(_edges_ds(edges)))
+    assert one == sharded
+    ref = _dijkstra_ref(len(nodes), edges, sorted(set(sources)), threshold)
+    assert {(s, n) for s, n, _ in one} == set(ref)
+    assert all(np.isclose(d, ref[(s, n)]) for s, n, d in one)
+    assert any(d == threshold for _, _, d in one)
+    assert (offset + 25, offset + 25, 0.0) in one
+    assert not any(s == offset + 26 and n < offset + 25 for s, n, _ in one)
+
+    rng = np.random.default_rng(5)
+    px = np.append(rng.uniform(-0.4, 4.4, 14), [9.1, -5.2])
+    py = np.append(rng.uniform(-0.4, 4.4, 14), [8.9, -5.1])
+    pts = ray.data.from_arrow(pa.table({
+        "id": pa.array(np.arange(16, dtype=np.int64) * 7 + 3),
+        "x": pa.array(px), "y": pa.array(py)}))
+
+    def _pairs(net):
+        g = build_travel_graph(pts, _nodes_ds(nodes), net, threshold,
+                               mapping_distance=mapping_distance,
+                               num_buckets=8)
+        return sorted((r["focal"], r["neighbor"], r["weight"])
+                      for r in g._real_edges().take_all())
+
+    one, sharded = _pairs(_edges_ds(edges)), _pairs(_sharded(_edges_ds(edges)))
+    assert one == sharded
+    nid = np.array([n[0] for n in nodes])
+    nx = np.array([n[1] for n in nodes])
+    ny = np.array([n[2] for n in nodes])
+    snap = {}
+    for i in range(16):
+        d = np.sqrt((px[i] - nx) ** 2 + (py[i] - ny) ** 2)
+        j = np.lexsort((nid, d))[0]
+        if mapping_distance is None or d[j] <= mapping_distance:
+            snap[i * 7 + 3] = nid[j]
+    sp = _dijkstra_ref(len(nodes), edges, sorted(set(snap.values())),
+                       threshold)
+    want = {(i, j): sp[(snap[i], snap[j])] for i in snap for j in snap
+            if i != j and (snap[i], snap[j]) in sp}
+    assert {(f, n) for f, n, _ in one} == set(want)
+    assert all(np.isclose(w, want[(f, n)]) for f, n, w in one)
+    assert bool(one) == (mapping_distance is None)
+
+
+@pytest.mark.parametrize("sharded", [False, True])
+def test_travel_cost_unconverged_raises(ray_session, sharded):
+    nodes, edges = _grid_network(g=5, seed=3)
+    seeds = ray.data.from_arrow(pa.table({"node": pa.array([0], pa.int64())}))
+    net = _sharded(_edges_ds(edges)) if sharded else _edges_ds(edges)
+    with pytest.raises(ValueError, match="did not converge in 2 rounds"):
+        travel_cost_edges(seeds, net, 3.5, max_rounds=2, num_buckets=8)
+
+
+def test_travel_graph_execution_budget(ray_session, executed_dags):
+    # on a bounded network ONE task routes and assembles: the build plus
+    # one read of its real edges runs the snap (3 executions), the snap
+    # table, the task and the graph's real edges
+    from libpysal_ray.pipelines import queries as Q
+
+    rng = np.random.default_rng(17)
+    obs = ray.data.from_arrow(pa.table({
+        "id": pa.array(np.arange(600, dtype=np.int64)),
+        "x": pa.array(rng.uniform(0, Q.GRID, 600)),
+        "y": pa.array(rng.uniform(0, Q.GRID, 600))}))
+    nodes, edges = Q._tc_network()
+    c0 = len(executed_dags)
+    g = build_travel_graph(obs, nodes, edges, threshold=Q._TC_THRESH)
+    assert g._real_edges().materialize().count() > 0
+    assert len(executed_dags) - c0 <= 6

@@ -347,7 +347,7 @@ def test_switched_query_execution_budget(executed_dags, name):
 
 @pytest.mark.parametrize("name", [
     "pagerank_dist", "hits_dist", "lpa_dist", "seed_dist_fd",
-    "components_band",
+    "components_band", "travel_cost",
 ])
 def test_evidence_queries_take_the_sharded_path(monkeypatch, name):
     # these queries exist to prove the sharded plans against the oracle:
