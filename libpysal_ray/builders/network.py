@@ -17,18 +17,18 @@ Ray-Data-first design — three stages, no routing library:
   nodes are tiled with a one-ring halo, observations ride their home tile
   only, each tile resolves its observations against local+halo nodes with
   the distance-to-guaranteed-boundary coverage guard, and the unresolved
-  remainder is finished by a chunked-broadcast scan and one per-id
-  min-merge. ONE shuffle.
+  remainder is finished by a chunked-broadcast scan over the node blocks,
+  whose per-block nearest rows a tree of Ray tasks reduces. ONE shuffle.
 * **route** (:func:`travel_cost_edges`): multi-source bounded shortest
   paths as synchronous frontier relaxation. A round expands the frontier
   (the (src, node, dist) rows that improved last round) through the
   out-edges of ``node``, drops paths over ``threshold``, min-combines per
-  (src, node) (:func:`_partial_min`), merges into the running best table
-  and hands on the strictly improved rows as the next frontier
-  (:func:`_merge`). Rounds are bounded by the hop diameter within
-  ``threshold`` (≤ threshold / min edge cost); a ``max_rounds`` guard
-  raises ``ValueError`` instead of returning silently-incomplete
-  distances.
+  (src, node), merges into the running best table and hands on the
+  strictly improved rows as the next frontier. Positive costs bound the
+  rounds by the hop diameter within ``threshold`` (≤ threshold / min edge
+  cost, plus the round that finds nothing); they run until none
+  improves, or an optional ``max_rounds`` guard raises ``ValueError``
+  instead of returning silently-incomplete distances.
 * **assemble**: node-pair costs map through the snap table to
   observation pairs; kernel evaluation is a stateless per-batch map
   (``functions/kernels.py``).
@@ -38,12 +38,15 @@ The small-input switch (``joins._coalesced``, asked through
 seeds or snap table) picks one of two plans that run the same rounds, so
 ``max_rounds`` means the same on both and their outputs are bit-equal:
 
-* **One task** (a size bound): numpy sorts the edges by src once, runs
-  the rounds as a CSR walk (:func:`_relax`) and, for a graph, expands
-  node pairs to observation pairs (:func:`_expand`).
+* **One task** (a size bound): numpy ranks the ids and sorts the edges
+  by src once, runs the rounds as a CSR walk (:func:`_relax`) and a
+  ``searchsorted`` merge into the key-sorted best table
+  (:func:`_route_rounds`) and, for a graph, expands node pairs to
+  observation pairs (:func:`_expand`).
 * **Sharded** (no bound — the 100 TB shape): per round one
   ``bucket_join`` of the frontier against the edge table on the node and
-  one ``grouped_by_key`` merge into the best table, which is
+  one ``grouped_by_key`` merge into the best table (:func:`_relaxed`,
+  :func:`_merge`), which is
   O(Σ reachable nodes per source), the order of the output; two
   ``bucket_join`` calls assemble. Every join side declares its schema, so
   no round runs a schema fetch. Rounds, not data volume, drive the
@@ -58,6 +61,8 @@ within ``threshold`` become isolates (zero-weight self-loops).
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import pyarrow as pa
@@ -78,6 +83,8 @@ _I64, _F64 = pa.int64(), pa.float64()
 # shortest-path rows, and the observation-pair rows ahead of ``_finish``
 _SP = pa.schema([("src", _I64), ("node", _I64), ("dist", _F64)])
 _OBS = pa.schema([("focal", _I64), ("neighbor", _I64), ("dist", _F64)])
+# the snap fallback's scan rows
+_SNAP = pa.schema([("id", _I64), ("node", _I64), ("snap_dist", _F64)])
 # the one-task input: network edges (tag 0: a=src, b=dst, c=cost) and the
 # second side (tag 1: a=node, b=observation id or node)
 _UNION = pa.schema([("tag", pa.int8()), ("a", _I64), ("b", _I64),
@@ -270,11 +277,7 @@ def snap_to_nodes(
 
     def _scan(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
-            return pa.table({
-                "id": pa.array([], pa.int64()),
-                "node": pa.array([], pa.int64()),
-                "snap_dist": pa.array([], pa.float64()),
-            })
+            return _SNAP.empty_table()
         nid = t.column(node_id_col).to_numpy(zero_copy_only=False).astype(np.int64)
         nx = t.column(x_col).to_numpy(zero_copy_only=False)
         ny = t.column(y_col).to_numpy(zero_copy_only=False)
@@ -300,57 +303,56 @@ def snap_to_nodes(
             }
         )
 
-    # every node block emits a row per unresolved point, not O(nodes)
-    _scan._size_expanding = True
+    # each node block yields every unresolved point's nearest node in it;
+    # a tree of Ray tasks keeps each point's nearest overall
+    refs = nodes.map_batches(_scan, batch_format="pyarrow").to_arrow_refs()
+    while True:
+        refs = [_nearest.remote(*refs[k:k + 8])
+                for k in range(0, len(refs), 8)]
+        if len(refs) <= 1:
+            break
+    return resolved.union(ray.data.from_arrow_refs(refs)) if refs else resolved
 
-    def _merge_min(t: pa.Table) -> pa.Table:
-        d = t.column("snap_dist").to_numpy(zero_copy_only=False)
-        n = t.column("node").to_numpy(zero_copy_only=False)
-        j = np.lexsort((n, d))[0]
-        return t.take(pa.array([int(j)]))
 
-    fallback = J.per_group(
-        nodes.map_batches(_scan, batch_format="pyarrow"), ("id",), _merge_min
-    )
-    return resolved.union(fallback)
+@ray.remote
+def _nearest(*ts: pa.Table) -> pa.Table:
+    """Per id the row of least (snap_dist, node) among the scan rows (an
+    empty block may come without columns)."""
+    t = pa.concat_tables([x for x in ts if x.num_rows]
+                         or [_SNAP.empty_table()])
+    o, starts = J._segments([_np(t, "id")],
+                            (_np(t, "snap_dist"), _np(t, "node")))
+    return t.take(pa.array(o[starts]))
 
 
 def _np(t: pa.Table, c: str) -> np.ndarray:
     return t.column(c).to_numpy(zero_copy_only=False)
 
 
-def _partial_min(s: np.ndarray, n: np.ndarray, d: np.ndarray) -> pa.Table:
-    """Min ``d`` per (src, node) of the rows (s, n, d), key-sorted."""
-    order = np.lexsort((d, n, s))
-    s, n, d = s[order], n[order], d[order]
-    first = np.ones(len(s), dtype=np.bool_)
-    first[1:] = (s[1:] != s[:-1]) | (n[1:] != n[:-1])
-    return pa.Table.from_arrays(
-        [pa.array(s[first]), pa.array(n[first]), pa.array(d[first])],
-        schema=_SP,
-    )
-
-
-def _relax(s, n, d, es, ed, ec, threshold: float) -> pa.Table:
+def _relax(s, n, d, es, ed, ec, threshold: float):
     """One round's expansion: every frontier row (s, n, d) through each
     out-edge of ``n`` in the src-sorted edges (es, ed, ec), a CSR walk by
-    ``searchsorted``; paths over ``threshold`` drop, the rest
-    min-combine per (src, node)."""
+    ``searchsorted``; the (src, node, dist) paths ≤ ``threshold``."""
     lo = np.searchsorted(es, n, "left")
     cnt = np.searchsorted(es, n, "right") - lo
     rep = np.repeat(np.arange(len(n)), cnt)
     epos = G._ranges(lo, lo + cnt)
     nd = d[rep] + ec[epos]
     keep = nd <= threshold
-    return _partial_min(s[rep][keep], ed[epos][keep], nd[keep])
+    return s[rep][keep], ed[epos][keep], nd[keep]
 
 
 def _relaxed(t: pa.Table, threshold: float) -> pa.Table:
-    """A relax join's rows (src, jn, dist, dst, cost) as min-combined
-    paths ≤ ``threshold``: the sharded twin of :func:`_relax`."""
+    """A relax join's rows (src, jn, dist, dst, cost) as the paths ≤
+    ``threshold``, min-combined per (src, node) and key-sorted: the
+    sharded twin of :func:`_relax`."""
     nd = _np(t, "dist") + _np(t, "cost")
     keep = nd <= threshold
-    return _partial_min(_np(t, "src")[keep], _np(t, "dst")[keep], nd[keep])
+    s, n, d = _np(t, "src")[keep], _np(t, "dst")[keep], nd[keep]
+    o, starts = J._segments([s, n], (d,))
+    k = o[starts]
+    return pa.Table.from_arrays(
+        [pa.array(s[k]), pa.array(n[k]), pa.array(d[k])], schema=_SP)
 
 
 def _tagged(t: pa.Table, tag: int) -> pa.Table:
@@ -367,13 +369,9 @@ def _merge(t: pa.Table) -> pa.Table:
     s, n, d = _np(t, "src"), _np(t, "node"), _np(t, "dist")
     first = np.ones(len(s), dtype=np.bool_)
     first[1:] = (s[1:] != s[:-1]) | (n[1:] != n[:-1])
-    gidx = np.cumsum(first) - 1
-    best = np.full(int(first.sum()), np.inf)
-    np.minimum.at(best, gidx, d)
-    old = np.full(len(best), np.inf)
-    is_old = _np(t, "tag") == 0
-    np.minimum.at(old, gidx[is_old], d[is_old])
     heads = np.flatnonzero(first)
+    best = np.minimum.reduceat(d, heads)
+    old = np.minimum.reduceat(np.where(_np(t, "tag") == 0, d, np.inf), heads)
     return pa.table({
         "src": pa.array(s[heads]),
         "node": pa.array(n[heads]),
@@ -382,26 +380,41 @@ def _merge(t: pa.Table) -> pa.Table:
     })
 
 
+def _rounds(max_rounds: int | None):
+    return itertools.count() if max_rounds is None else range(max_rounds)
+
+
 def _route_rounds(seeds, es, ed, ec, threshold: float,
-                  max_rounds: int) -> pa.Table | None:
+                  max_rounds: int | None) -> pa.Table | None:
     """The rounds in one process, from the distinct ``seeds`` over the
     src-sorted edges (es, ed, ec): the best (src, node, dist) table, or
-    None when a round still improved after ``max_rounds``."""
-    best = pa.Table.from_arrays(
-        [pa.array(seeds), pa.array(seeds), pa.array(np.zeros(len(seeds)))],
-        schema=_SP,
-    )
-    frontier = best
-    for _ in range(max_rounds):
-        cand = _relax(_np(frontier, "src"), _np(frontier, "node"),
-                      _np(frontier, "dist"), es, ed, ec, threshold)
-        u = pa.concat_tables([_tagged(best, 0), _tagged(cand, 1)])
-        merged = _merge(u.take(np.lexsort((_np(u, "node"), _np(u, "src")))))
-        imp = _np(merged, "imp") == 1
-        best = merged.drop_columns(["imp"])
+    None when a round still improved after ``max_rounds``. Ids are ranked
+    once, so a (src, node) pair is one int64 key; best stays key-sorted
+    and each round merges its min-combined candidates by ``searchsorted``
+    (the same rows as :func:`_merge`, without re-sorting best)."""
+    ids = np.unique(np.concatenate([seeds, es, ed]))
+    m = len(ids)
+    s = np.searchsorted(ids, seeds)
+    es, ed = np.searchsorted(ids, es), np.searchsorted(ids, ed)
+    keys, dist = s * m + s, np.zeros(len(s))
+    fk, fd = keys, dist
+    for _ in _rounds(max_rounds):
+        cs, cn, cd = _relax(fk // m, fk % m, fd, es, ed, ec, threshold)
+        ck = cs * m + cn
+        o, starts = J._segments([ck], (cd,))
+        ck, cd = ck[o[starts]], cd[o[starts]]
+        pos = np.searchsorted(keys, ck)
+        at = np.minimum(pos, len(keys) - 1)
+        new = keys[at] != ck
+        imp = new | (cd < dist[at])
         if not imp.any():
-            return best
-        frontier = best.filter(pa.array(imp))
+            return pa.Table.from_arrays(
+                [pa.array(ids[keys // m]), pa.array(ids[keys % m]),
+                 pa.array(dist)], schema=_SP)
+        dist[at[imp & ~new]] = cd[imp & ~new]
+        keys = np.insert(keys, pos[new], ck[new])
+        dist = np.insert(dist, pos[new], cd[new])
+        fk, fd = ck[imp], cd[imp]
     return None
 
 
@@ -452,7 +465,8 @@ def _union_rows(ds: ray.data.Dataset, tag: int, a: str, b: str,
 
 
 def _small_route(side: ray.data.Dataset, net_edges: ray.data.Dataset,
-                 obs_col: str | None, threshold: float, max_rounds: int):
+                 obs_col: str | None, threshold: float,
+                 max_rounds: int | None):
     """The whole route (and, with an ``obs_col``, the assembly) as ONE
     numpy task over the tagged union of ``net_edges`` and ``side``,
     through the small-input switch: the materialized (src, node, dist)
@@ -490,7 +504,7 @@ def _n_improved(t: pa.Table) -> int:
 
 
 def _sharded_route(seed_nodes: ray.data.Dataset, net_edges: ray.data.Dataset,
-                   threshold: float, max_rounds: int,
+                   threshold: float, max_rounds: int | None,
                    num_buckets: int | None) -> ray.data.Dataset:
     """The rounds as Dataset plans: per round one bucket_join of the
     frontier against the edges on the node and one grouped_by_key merge
@@ -514,7 +528,7 @@ def _sharded_route(seed_nodes: ray.data.Dataset, net_edges: ray.data.Dataset,
         }),
         batch_format="pyarrow",
     ))
-    for _ in range(max_rounds):
+    for _ in _rounds(max_rounds):
         frontier = J.declare_schema(state.map_batches(
             lambda t: pa.Table.from_arrays(
                 [t.column("src"), t.column("node"), t.column("dist")],
@@ -545,7 +559,7 @@ def travel_cost_edges(
     seed_nodes: ray.data.Dataset,
     net_edges: ray.data.Dataset,
     threshold: float,
-    max_rounds: int = 64,
+    max_rounds: int | None = None,
     num_buckets: int | None = None,
 ) -> ray.data.Dataset:
     """Min network cost ≤ ``threshold`` from every seed node: (src, node, dist).
@@ -558,9 +572,11 @@ def travel_cost_edges(
     ONE numpy task when the small-input switch bounds the network edges
     and the seeds together, else as the sharded rounds (``num_buckets``
     is their shuffles' bucket count, None = sized from the input).
-    Converges in ≤ hop-diameter + 1 rounds; raises ``ValueError`` if a
-    round still improved after ``max_rounds`` (the
-    fixed-iteration-silent-exit trap flagged for components, ADVICE r2).
+    Positive costs converge in ≤ threshold / min cost + 1 rounds; by
+    default the rounds run until none improves. With ``max_rounds`` set,
+    a round that still improved after that many raises ``ValueError``
+    (the fixed-iteration-silent-exit trap flagged for components,
+    ADVICE r2).
     """
     small = _small_route(seed_nodes, net_edges, None, threshold, max_rounds)
     if small is not None:
@@ -593,8 +609,8 @@ def build_travel_graph(
     _network.py:85-88). ``kernel``: optional kernel function name applied
     to costs with bandwidth = ``threshold`` (graph/_network.py:136-151);
     ``taper`` drops zero-weight links after kernel evaluation
-    (_network.py:95-97). Routing that does not converge in 64 rounds
-    raises ``ValueError``.
+    (_network.py:95-97). The rounds run until none improves (see
+    :func:`travel_cost_edges`).
     """
     snaps = snap_to_nodes(points, net_nodes, id_col=id_col)
     if mapping_distance is not None:
@@ -608,11 +624,11 @@ def build_travel_graph(
             batch_format="pyarrow",
         )
     snaps = snaps.select_columns(["id", "node"]).materialize()
-    pairs = _small_route(snaps, net_edges, "id", threshold, 64)
-    if pairs is None:  # the network edges have no size bound
-        sp = travel_cost_edges(
+    pairs = _small_route(snaps, net_edges, "id", threshold, None)
+    if pairs is None:  # the edges and the snap table have no size bound
+        sp = _sharded_route(
             J.grouped_agg(snaps, ("node",), (None,), "count"), net_edges,
-            threshold, num_buckets=num_buckets,
+            threshold, None, num_buckets,
         )
         focal = J.declare_schema(snaps.map_batches(
             lambda t: pa.Table.from_arrays(

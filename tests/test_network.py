@@ -114,6 +114,33 @@ def test_snap_to_nodes_matches_bruteforce(ray_session):
         assert np.isclose(got[i][1], d[j])
 
 
+def test_snap_fallback_matches_bruteforce(ray_session):
+    # a tile smaller than the node spacing leaves most points unresolved
+    # by the tile pass; the nodes come one per block and a filter empties
+    # 8 of the 25 blocks, so the scan's per-block nearest rows take two
+    # levels of the reduce tree, some of them column-less empty blocks
+    nodes, _ = _grid_network(g=5)
+    blocks = ray.data.from_arrow_refs(
+        [r for k in range(25) for r in _nodes_ds(nodes[k:k + 1]).to_arrow_refs()]
+    ).filter(lambda r: r["node_id"] % 3 != 1)
+    nodes = [n for n in nodes if n[0] % 3 != 1]
+    rng = np.random.default_rng(4)
+    px, py = rng.uniform(-1.0, 5.0, 30), rng.uniform(-1.0, 5.0, 30)
+    pts = ray.data.from_arrow(pa.table({
+        "id": pa.array(np.arange(30, dtype=np.int64)),
+        "x": pa.array(px), "y": pa.array(py)}))
+    got = {r["id"]: (r["node"], r["snap_dist"])
+           for r in snap_to_nodes(pts, blocks, cs=0.2).take_all()}
+    nid = np.array([n[0] for n in nodes])
+    nx = np.array([n[1] for n in nodes])
+    ny = np.array([n[2] for n in nodes])
+    assert len(got) == 30
+    for i in range(30):
+        d = np.sqrt((px[i] - nx) ** 2 + (py[i] - ny) ** 2)
+        j = np.lexsort((nid, d))[0]
+        assert got[i] == (nid[j], d[j])
+
+
 def test_travel_cost_edges_matches_dijkstra(ray_session):
     nodes, edges = _grid_network(g=6)
     sources = [0, 7, 14, 35]
@@ -326,6 +353,35 @@ def test_travel_paths_agree(ray_session, offset, mapping_distance):
     assert {(f, n) for f, n, _ in one} == set(want)
     assert all(np.isclose(w, want[(f, n)]) for f, n, w in one)
     assert bool(one) == (mapping_distance is None)
+
+
+def test_travel_paths_agree_past_64_hops(ray_session):
+    # a 1×100 unit-cost path with threshold 80: 81 rounds, past any fixed
+    # round cap of 64; both plans run until no round improves
+    edges = [(i, i + 1, 1.0) for i in range(99)]
+    nodes = [(i, float(i), 0.0) for i in range(100)]
+    seeds = ray.data.from_arrow(pa.table({"node": pa.array([0, 0, 50],
+                                                           pa.int64())}))
+
+    def _sp(net):
+        return sorted((r["src"], r["node"], r["dist"]) for r in
+                      travel_cost_edges(seeds, net, 80.0,
+                                        num_buckets=8).take_all())
+
+    one = _sp(_edges_ds(edges))
+    assert one == _sp(_sharded(_edges_ds(edges)))
+    ref = _dijkstra_ref(100, edges, [0, 50], 80.0)
+    assert one == sorted((s, n, d) for (s, n), d in ref.items())
+    assert (0, 80, 80.0) in one and len(one) == 81 + 50
+
+    pts = ray.data.from_arrow(pa.table({
+        "id": pa.array(np.arange(4, dtype=np.int64)),
+        "x": pa.array([0.1, 40.2, 79.9, 99.0]), "y": pa.array(np.zeros(4))}))
+    g = build_travel_graph(pts, _nodes_ds(nodes), _edges_ds(edges), 80.0)
+    assert sorted((r["focal"], r["neighbor"], r["weight"])
+                  for r in g._real_edges().take_all()) == [
+        (0, 1, 40.0), (0, 2, 80.0), (1, 2, 40.0), (1, 3, 59.0),
+        (2, 3, 19.0)]
 
 
 @pytest.mark.parametrize("sharded", [False, True])
