@@ -6,7 +6,9 @@ Modes:
   python bench.py                 # all queries, one session
   python bench.py --scaling      # flagship at N and 4N CPUs in FRESH
                                   # processes → throughput + scaling efficiency
-                                  # (N = $GRAFT_SCALE_N, default host CPUs / 4)
+                                  # (N = $GRAFT_SCALE_N, default host CPUs / 4),
+                                  # with the pre-shuffle map's elapsed
+                                  # time and summed task wall per level
   python bench.py --only a,b,c   # subset (internal / debugging)
 
 Owns its Ray session (ray.init(address="local", num_cpus=$RAY_GRAFT_CPUS),
@@ -89,9 +91,26 @@ def _warn_overcommit() -> None:
         )
 
 
-def run_scaling_once(n_rows: int, num_cpus: int) -> float:
+def _pre_shuffle_map(ds) -> dict:
+    """Elapsed seconds and summed task wall of the fused map that feeds
+    the flagship's shuffle (the operator ending in ``_verify_drop``), read
+    from an executed Dataset's stats. Elapsed well above wall / CPUs means
+    the map ran narrower than the session."""
+    stack = [ds._plan.stats().to_summary()]
+    while stack:
+        s = stack.pop()
+        for op in s.operators_stats:
+            if "_verify_drop" in op.operator_name:
+                return {"map_elapsed_s": round(op.time_total_s, 2),
+                        "map_task_wall_s": round(op.wall_time["sum"], 2)}
+        stack.extend(s.parents)
+    return {}
+
+
+def run_scaling_once(n_rows: int, num_cpus: int) -> dict:
     """Flagship over n synthetic pages (generated shard-parallel, no driver
-    data, identical input at both parallelism levels). Returns seconds."""
+    data, identical input at both parallelism levels). Returns the seconds
+    of the faster of 2 runs and that run's pre-shuffle map split."""
     import logging
     import warnings
 
@@ -110,7 +129,7 @@ def run_scaling_once(n_rows: int, num_cpus: int) -> float:
     from libpysal_ray.pipelines.flagship import flagship
     from libpysal_ray.sources.pages import synth_pages
 
-    def _run(rows: int, blocks: int) -> float:
+    def _run(rows: int, blocks: int) -> dict:
         pages = synth_pages(rows, include_html=False, num_blocks=blocks)
         narrow = ray.data.range(
             rows, override_num_blocks=blocks
@@ -123,11 +142,11 @@ def run_scaling_once(n_rows: int, num_cpus: int) -> float:
             narrow=narrow,
             rows_per_part=max(50_000, rows // 64),
             salt_sample_mod=64,
-        )
-        n = out.count()
+        ).materialize()  # keeps the execution's stats; count() does not
         dt = time.time() - t0
+        n = out.count()
         assert n == rows, (n, rows)
-        return dt
+        return {"seconds": dt, **_pre_shuffle_map(out)}
 
     # warmup: spin up the worker pool so measured throughput reflects
     # steady-state, not cluster cold-start
@@ -135,9 +154,10 @@ def run_scaling_once(n_rows: int, num_cpus: int) -> float:
     blocks = max(64, n_rows // 25_000)  # FIXED across cluster sizes
     # min of 2 repeats: this sandbox has bursty external contention
     # (observed ±30% on identical runs); min is the least-contended sample
-    dt = min(_run(n_rows, blocks) for _ in range(2))
+    best = min((_run(n_rows, blocks) for _ in range(2)),
+               key=lambda r: r["seconds"])
     ray.shutdown()
-    return dt
+    return best
 
 
 HOT_FRAC = float(os.environ.get("GRAFT_SKEW_FRAC", "0.5"))
@@ -264,8 +284,8 @@ def main() -> None:
         return
     if "--scaling-once" in argv:
         cpus = int(argv[argv.index("--scaling-once") + 1])
-        dt = run_scaling_once(SCALE_ROWS, cpus)
-        print(json.dumps({"cpus": cpus, "seconds": dt, "rows": SCALE_ROWS}))
+        r = run_scaling_once(SCALE_ROWS, cpus)
+        print(json.dumps({"cpus": cpus, "rows": SCALE_ROWS, **r}))
         return
     if "--scaling" in argv:
         _warn_overcommit()
@@ -306,6 +326,12 @@ def main() -> None:
                         f"cpus{4*SCALE_N}": round(t4n, 2)},
             "rows_per_sec": {f"cpus{SCALE_N}": round(thr_n, 1),
                             f"cpus{4*SCALE_N}": round(thr_4n, 1)},
+            # the fused map ahead of the shuffle, from the same runs
+            "pre_shuffle_map": {
+                f"cpus{c}": {k: v for k, v in results[c].items()
+                             if k.startswith("map_")}
+                for c in (SCALE_N, 4 * SCALE_N)
+            },
             "note": (
                 "min over 2 interleaved rounds per level; values > 1.0 "
                 "mean the longer low-CPU runs could not dodge the host's "

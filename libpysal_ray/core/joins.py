@@ -182,6 +182,25 @@ def unchained(ds: ray.data.Dataset) -> ray.data.Dataset:
     return out
 
 
+def unreserved(ds: ray.data.Dataset) -> ray.data.Dataset:
+    """``ds`` (a fresh, unexecuted transform result) re-planned under a
+    copy of its ``DataContext`` with per-operator resource reservation
+    off. Ray's reservation keeps one task's CPU for every unfinished
+    operator, so on a few CPUs a map feeding an all-to-all (sort, hash
+    shuffle) runs one task at a time while the all-to-all's share sits
+    idle. Every Dataset derived from the result shares the copy; the
+    caller's context and the process-wide one are never written."""
+    from ray.data._internal.logical.interfaces import LogicalPlan
+    from ray.data._internal.plan import ExecutionPlan
+
+    ctx = ds.context.copy()
+    ctx.op_resource_reservation_enabled = False
+    return ray.data.Dataset(
+        ExecutionPlan(ds._plan._in_stats, data_context=ctx),
+        LogicalPlan(ds._logical_plan.dag, ctx),
+    )
+
+
 def _segments(keys, ties=()) -> tuple[np.ndarray, np.ndarray]:
     """Segment rows into groups of equal ``keys`` (numpy columns, first =
     primary): returns ``order``, the stable lexsort permutation by keys

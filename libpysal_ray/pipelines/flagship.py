@@ -12,11 +12,18 @@ pages (url, warc_ts, html, text, lang)
   → PIP join against the polygon layer (broadcast STRtree-style index,
     memoized per worker, fused map tasks; semantics
     graph/_contiguity.py:94-135)
-  → ONE hash shuffle on (cell, salt) → per-partition: re-verify the text
-    digest byte-for-byte, attach the polygon's neighbor set (from the
+  → re-verify the text digest byte-for-byte, drop the text
+  → ONE shuffle on cell_salted: a range sort by default, a hash
+    repartition when the Dataset's context selects HASH_SHUFFLE
+  → per partition: attach the polygon's neighbor set (from the
     queen-contiguity graph of the layer, broadcast as a small dict), write
     a checkpointed partition + lineage marker
   → result rows (url, cell, polygon_id, neighbor_set, digest_ok).
+
+Both executions (the salt count and the main chain) run without Ray
+Data's per-operator resource reservation (``J.unreserved``): it keeps a
+CPU for the shuffle and the finalize map, which cannot start before the
+fused map ends, and so holds that map to one task at a time on 4 CPUs.
 
 Resumable: a re-run loads the manifest's done-set once at plan build and
 filters those partitions' rows out right after salting, so finished
@@ -31,6 +38,7 @@ import ray
 import ray.data
 
 
+from libpysal_ray.core import joins as J
 from libpysal_ray.core.hashing import fast_text_digest_u64
 from libpysal_ray.sources.pages import pages_from_documents
 from libpysal_ray.sources.polygons import _poly_table
@@ -119,7 +127,7 @@ def flagship(
 
     # 1. project to the columns the chain reads (drops the wide html
     # binary) before anything else; a projection needs no schema fetch
-    pages = pages.select_columns(["doc_id", "url", "text"])
+    pages = J.unreserved(pages.select_columns(["doc_id", "url", "text"]))
 
     # 2. ingest digest (byte-identity invariant start)
     ds = pages.map_batches(_digest_batch, batch_format="pyarrow")
@@ -155,7 +163,9 @@ def flagship(
             return t.filter(pa.array(ids % mod == 0))
 
         narrow = narrow.map_batches(_sample, batch_format="pyarrow")
-    narrow = assign_cells(geocode_ids(narrow, "doc_id", lonlat=True), res)
+    narrow = J.unreserved(
+        assign_cells(geocode_ids(narrow, "doc_id", lonlat=True), res)
+    )
     if cell_remap is not None:
         narrow = narrow.map_batches(cell_remap, batch_format="pyarrow")
     factors = salt_factors(
@@ -208,7 +218,7 @@ def flagship(
     # the digest from the text bytes as they arrive at the shuffle boundary
     # and compare to the ingest digest — this witnesses that `text` passed
     # every map stage unchanged. Then DROP the wide text column so the one
-    # hash shuffle moves only the 8-byte digest + join keys (SURVEY §7.4.7:
+    # shuffle moves only the 8-byte digest + join keys (SURVEY §7.4.7:
     # wide payloads never cross a shuffle).
     def _verify_drop(t: pa.Table) -> pa.Table:
         carried = t.column("text_digest").to_numpy(zero_copy_only=False)
@@ -225,7 +235,7 @@ def flagship(
 
     joined = joined.map_batches(_verify_drop, batch_format="pyarrow")
 
-    # 8. the one hash shuffle: (cell, salt) partitions; per-partition
+    # 8. the one shuffle: (cell, salt) partitions; per-partition
     # neighbor-set attach + digest-XOR lineage + checkpointed write
     import uuid as _uuid
 
@@ -233,7 +243,7 @@ def flagship(
     out_dir_v = out_dir
 
     def _finalize_block(t: pa.Table) -> pa.Table:
-        """One hash-shuffle partition = many complete (cell, salt) groups,
+        """One shuffle output block = many complete (cell, salt) groups,
         sorted by cell_salted within the block. The neighbor-set attach is
         vectorized over the WHOLE block; per-group work is only the
         digest-XOR lineage metric and the checkpoint write."""
@@ -289,13 +299,12 @@ def flagship(
     # and FAILS LOUDLY on a second write of the same key within the run
     # (lineage.write_partition), instead of silently corrupting the
     # checkpoint if that behavior ever changes (ADVICE r01).
-    from ray.data.context import DataContext, ShuffleStrategy
+    # Ray plans the shuffle from the Dataset's own context, so the
+    # choice reads that context, not the process-wide one.
+    from ray.data.context import ShuffleStrategy
 
-    if DataContext.get_current().shuffle_strategy == ShuffleStrategy.HASH_SHUFFLE:
-        try:
-            ncpu = int(ray.cluster_resources().get("CPU", 8))
-        except Exception:
-            ncpu = 8
+    if joined.context.shuffle_strategy == ShuffleStrategy.HASH_SHUFFLE:
+        ncpu = int(ray.cluster_resources().get("CPU", 8))
         shuffled = joined.repartition(
             max(16, 2 * ncpu), keys=["cell_salted"], sort=True
         )

@@ -16,11 +16,18 @@ def ray_session():
 
 class ExecutedDags(list):
     """The physical plan (root operator) of every Dataset execution run
-    so far, in order: ``len()`` is the number of executions."""
+    so far, in order: ``len()`` is the number of executions.
+    ``reserved[i]`` says whether execution i ran with Ray Data's
+    per-operator resource reservation."""
 
-    def operators(self) -> list:
-        """Every physical operator of every recorded plan."""
-        ops, stack = [], list(self)
+    def __init__(self):
+        super().__init__()
+        self.reserved: list[bool] = []
+
+    def operators(self, start: int = 0) -> list:
+        """Every physical operator of the plans recorded from execution
+        ``start`` on (default: all)."""
+        ops, stack = [], list(self[start:])
         while stack:
             op = stack.pop()
             ops.append(op)
@@ -42,7 +49,11 @@ def executed_dags(monkeypatch) -> ExecutedDags:
 
     def _execute(self, dag, *a, **k):
         dags.append(dag)
-        return orig_execute(self, dag, *a, **k)
+        out = orig_execute(self, dag, *a, **k)
+        dags.reserved.append(
+            self._resource_manager.op_resource_allocator_enabled()
+        )
+        return out
 
     monkeypatch.setattr(StreamingExecutor, "execute", _execute)
     return dags

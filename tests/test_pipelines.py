@@ -165,6 +165,56 @@ def test_flagship_plan_has_no_actor_pool(executed_dags):
                 if isinstance(op, ActorPoolMapOperator)]
 
 
+def test_flagship_runs_without_reservation(executed_dags):
+    """Both flagship executions run without Ray Data's per-operator
+    reservation; the caller's context, the process-wide one and a Dataset
+    built afterwards keep it."""
+    from ray.data.context import DataContext
+
+    flagship(SF).take_all()
+    assert executed_dags.reserved == [False, False]
+
+    pages = pages_from_documents(SF)
+    flagship(pages=pages).take_all()
+    assert executed_dags.reserved[2:] == [False, False]
+    assert pages.context.op_resource_reservation_enabled
+    assert DataContext.get_current().op_resource_reservation_enabled
+
+    ray.data.range(100).map_batches(lambda b: b).materialize()
+    assert executed_dags.reserved[4:] == [True]
+
+
+def _result_rows(df) -> list:
+    return sorted(
+        (r.url, r.cell, r.polygon_id, tuple(r.neighbor_set), r.digest_ok)
+        for r in df.itertuples()
+    )
+
+
+@pytest.mark.parametrize("made,later", [
+    ("SORT_SHUFFLE_PULL_BASED", "HASH_SHUFFLE"),
+    ("HASH_SHUFFLE", "SORT_SHUFFLE_PULL_BASED"),
+])
+def test_flagship_shuffle_follows_pages_context(monkeypatch, executed_dags,
+                                                made, later):
+    """The shuffle follows the strategy the pages were made under, not the
+    process-wide one set afterwards, and both give the same rows."""
+    from ray.data.context import DataContext, ShuffleStrategy
+
+    want = _result_rows(flagship(SF).to_pandas())
+    ctx = DataContext.get_current()
+    monkeypatch.setattr(ctx, "shuffle_strategy", ShuffleStrategy[made])
+    pages = pages_from_documents(SF)
+    monkeypatch.setattr(ctx, "shuffle_strategy", ShuffleStrategy[later])
+
+    c0 = len(executed_dags)
+    got = _result_rows(flagship(pages=pages).to_pandas())
+    assert got == want
+    names = [op.name for op in executed_dags.operators(c0)]
+    assert any(n.startswith("Sort") for n in names) == (
+        made != "HASH_SHUFFLE"), names
+
+
 def test_flagship_full_resume_sorts_no_rows(tmp_path):
     """A full resume drops every row before the PIP join: the map chain
     feeding the shuffle emits nothing and the Sort sees no row."""
@@ -204,14 +254,8 @@ def test_flagship_partial_resume_salted(tmp_path):
 
     r2 = flagship(SF, out_dir=out_dir, rows_per_part=3).to_pandas()
 
-    def _rows(df):
-        return sorted(
-            (r.url, r.cell, r.polygon_id, tuple(r.neighbor_set), r.digest_ok)
-            for r in df.itertuples()
-        )
-
-    assert _rows(r2) == _rows(want)
-    assert set(_rows(r2)) <= set(_rows(r1))
+    assert _result_rows(r2) == _result_rows(want)
+    assert set(_result_rows(r2)) <= set(_result_rows(r1))
     m2 = {m["key"]: m for m in lineage.load_manifest(out_dir)}
     assert set(m2) == set(m1)
     for k in victims:
